@@ -17,15 +17,6 @@
 // collected in submission order, so output is byte-identical for any
 // -parallel value; -parallel 1 takes the exact serial code path.
 //
-// The -shards flag shards each simulated cluster's nodes across N event
-// engines synchronized by conservative bounded-window lookahead (the
-// minimum cross-node fabric latency). Simulated results are shard-count
-// invariant: -shards 1, 2, and 4 print identical figures; only wall time
-// changes. -shards 0 (default) keeps the single global event loop,
-// bit-identical to the pre-sharding simulator. Features that need a
-// global event order (crash schedules, health membership, tree topology)
-// silently cap the engine count at one.
-//
 // The -exp perf harness measures the simulator itself (events/sec,
 // allocs/event, wall time per experiment) and writes BENCH_sim.json;
 // -bench-baseline compares against a committed report and exits nonzero
@@ -169,7 +160,6 @@ func run() int {
 	list := flag.Bool("list", false, "list all experiments with one-line descriptions and exit")
 	csvDir := flag.String("csv", "", "also write figure data as CSV into this directory")
 	parallel := flag.Int("parallel", runtime.NumCPU(), "worker threads for sweep replicas (1 = serial)")
-	shards := flag.Int("shards", 0, "intra-run node shards for the parallel event engine (0 = serial seed-exact engine; N>=1 = conservative bounded-window engine, results shard-count invariant)")
 
 	perfPreset := flag.String("perf-preset", "full", "perf harness preset: full|smoke")
 	benchOut := flag.String("bench-out", "BENCH_sim.json", "write the perf report JSON here (empty = don't write)")
@@ -303,7 +293,6 @@ func run() int {
 	}
 
 	cfg := config.Default()
-	cfg.Shards = *shards
 	cfg.Faults = config.FaultConfig{
 		Seed:        *faultSeed,
 		DropProb:    *faultDrop,
@@ -454,9 +443,6 @@ func run() int {
 	}
 	// Run header: every invocation states its fault and crash schedules up
 	// front so saved outputs are self-describing.
-	if cfg.Shards > 0 {
-		fmt.Printf("engine: sharded (shards=%d, conservative bounded-window sync)\n", cfg.Shards)
-	}
 	fmt.Println(fault.NewInjector(cfg.Faults).Summary())
 	fmt.Println(fault.NewCrashPlan(cfg.Crash).Summary())
 	switch cfg.Network.Topology {

@@ -28,11 +28,10 @@
 //     elementwise sum of the surviving ranks' inputs over the final
 //     membership. Predicate at success: out[i] == Σ_alive in[r][i].
 //
-// Concurrency: per-node state is only ever touched from the owning node's
-// engine (the same ownership discipline the fabric uses), conservation
-// matrices split cell ownership between src and dst engines, and the
-// cross-node checks run in Finish after the run drains — so the auditor
-// adds no synchronization to laned runs and never perturbs event order.
+// Concurrency: an auditor belongs to one cluster and is only touched from
+// that cluster's single event engine, so it needs no synchronization; the
+// cross-node checks run in Finish after the run drains, and the hooks never
+// perturb event order. Separate clusters may run on separate goroutines.
 package audit
 
 import (
@@ -81,8 +80,7 @@ func (v Violation) String() string {
 	return fmt.Sprintf("%s @%v n%d: %s", v.Check, v.Time, v.Node, v.Detail)
 }
 
-// nodeState is the per-node audit block, touched only from the owning
-// node's engine.
+// nodeState is the per-node audit block.
 type nodeState struct {
 	checks     int64
 	fired      map[uint64]bool // live fired registration instances
@@ -97,18 +95,14 @@ type Auditor struct {
 	n     int
 	nodes []nodeState
 
-	// Conservation matrices, [src][dst]. sends and lost cells are written
-	// by the src engine, delivers cells by the dst engine — disjoint
-	// ownership, no synchronization needed.
+	// Conservation matrices, [src][dst].
 	sends, delivers, lost [][]int64
 
 	// Per-switch hop ledgers (RegisterHops): frames entering, leaving,
 	// and dropped-with-reason at each switch of a multi-hop fabric.
-	// Single-engine contexts only (the fat-tree forces serialRequired).
 	hopIn, hopOut, hopDropped []int64
 
-	// Global state, touched only from serial contexts (health membership
-	// and recoverable collectives force the serial engine) or Finish.
+	// Global state, fed by membership and collective hooks and by Finish.
 	globalChecks     int64
 	views            map[uint64]string
 	globalViolations []Violation
@@ -239,8 +233,7 @@ func (a *Auditor) Dispatched(now sim.Time, node, src int, srcEpoch, view, dstEpo
 
 // --- Fabric conservation hooks --------------------------------------------
 
-// MessageSent counts a message injected src -> dst. Called on the src
-// engine.
+// MessageSent counts a message injected src -> dst.
 func (a *Auditor) MessageSent(src, dst int) {
 	if a == nil {
 		return
@@ -249,7 +242,6 @@ func (a *Auditor) MessageSent(src, dst int) {
 }
 
 // MessageDelivered counts a complete message handed to dst's handler.
-// Called on the dst engine.
 func (a *Auditor) MessageDelivered(src, dst int) {
 	if a == nil {
 		return
@@ -258,7 +250,7 @@ func (a *Auditor) MessageDelivered(src, dst int) {
 }
 
 // MessageLost counts a message that lost at least one packet and will
-// never deliver. Called on the src engine (the fault point).
+// never deliver, at the fault point.
 func (a *Auditor) MessageLost(src, dst int) {
 	if a == nil {
 		return
@@ -310,8 +302,7 @@ func (a *Auditor) HopDropped(sw int) {
 
 // ViewAdopted records the membership adopting view viewID with the given
 // member set out of a non-suspect population. Majority must be strict and
-// a view ID must never rename its member set. Serial contexts only
-// (health forces the serial engine).
+// a view ID must never rename its member set.
 func (a *Auditor) ViewAdopted(now sim.Time, viewID uint64, members []int, population int) {
 	if a == nil {
 		return
@@ -341,8 +332,7 @@ func (a *Auditor) ViewAdopted(now sim.Time, viewID uint64, members []int, popula
 // The expected sum is accumulated in float64, so the equality check is
 // order-independent for the integer-valued vectors the experiments reduce
 // (every partial sum below 2^24 is exact in float32 regardless of ring
-// order). Serial contexts only (recoverable collectives force the serial
-// engine).
+// order).
 func (a *Auditor) ReductionResult(now sim.Time, gen int64, out []float32, inputs [][]float32, alive []int) {
 	if a == nil {
 		return
@@ -402,7 +392,7 @@ func (a *Auditor) Finish(now sim.Time, quiescent bool) {
 }
 
 // ChecksEvaluated returns the total predicate evaluations. Deterministic
-// and shard-count invariant for a deterministic run.
+// for a deterministic run.
 func (a *Auditor) ChecksEvaluated() int64 {
 	if a == nil {
 		return 0

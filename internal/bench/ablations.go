@@ -23,11 +23,6 @@ import (
 // postDelay is how long the host-side posting work takes (e.g. when the
 // runtime is busy managing other connections).
 func AblationRelaxedSync(cfg config.SystemConfig, postDelay sim.Time) (relaxed, strict sim.Time) {
-	// Micro-rig: drives both nodes' components from ambient driver
-	// procs and waits directly on the remote counting event — remote-state
-	// coupling outside the fabric, so it measures on the serial engine
-	// regardless of -shards (output stays shard-count invariant).
-	cfg.Shards = 0
 	run := func(overlap bool) sim.Time {
 		c := node.NewCluster(cfg, 2)
 		n0, n1 := c.Nodes[0], c.Nodes[1]
@@ -77,11 +72,6 @@ func AblationRelaxedSync(cfg config.SystemConfig, postDelay sim.Time) (relaxed, 
 // the prototype's 16-entry associative list — so this ablation grows the
 // trigger list to fit, which is itself part of the finding.
 func AblationGranularity(cfg config.SystemConfig, workGroups, wgSize int) map[core.Granularity]sim.Time {
-	// Micro-rig: drives both nodes' components from ambient driver
-	// procs and waits directly on the remote counting event — remote-state
-	// coupling outside the fabric, so it measures on the serial engine
-	// regardless of -shards (output stays shard-count invariant).
-	cfg.Shards = 0
 	cfg.NIC.MaxTriggerEntries = workGroups*wgSize + 4
 	grans := []core.Granularity{core.WorkItem, core.WorkGroup, core.KernelLevel, core.Mixed}
 	durs := parallelMap(len(grans), func(gi int) sim.Time {
@@ -136,11 +126,6 @@ func AblationGranularity(cfg config.SystemConfig, workGroups, wgSize int) map[co
 // under a burst of trigger writes from many work-groups: the associative
 // CAM, a hash table, and the naive linked list.
 func AblationTriggerLookup(cfg config.SystemConfig, writes int) map[string]sim.Time {
-	// Micro-rig: drives both nodes' components from ambient driver
-	// procs and waits directly on the remote counting event — remote-state
-	// coupling outside the fabric, so it measures on the serial engine
-	// regardless of -shards (output stays shard-count invariant).
-	cfg.Shards = 0
 	models := []nic.LookupModel{
 		nic.AssociativeLookup{Latency: cfg.NIC.TriggerMatchLatency},
 		nic.HashLookup{Latency: cfg.NIC.TriggerMatchLatency * 3 / 2},
@@ -265,11 +250,6 @@ func AblationPipelining(cfg config.SystemConfig, nodeCounts []int) map[int][2]si
 // kernel sending one message with 0..3 GPU-computed override fields.
 // Returns end-to-end target latency per field count.
 func AblationDynamicTrigger(cfg config.SystemConfig) [4]sim.Time {
-	// Micro-rig: drives both nodes' components from ambient driver
-	// procs and waits directly on the remote counting event — remote-state
-	// coupling outside the fabric, so it measures on the serial engine
-	// regardless of -shards (output stays shard-count invariant).
-	cfg.Shards = 0
 	durs := parallelMap(4, func(fields int) sim.Time {
 		c := node.NewCluster(cfg, 2)
 		n0, n1 := c.Nodes[0], c.Nodes[1]
@@ -337,11 +317,6 @@ func AblationNetworkSensitivity(cfg config.SystemConfig, gbps []float64) map[flo
 // Returns (eager, rendezvous) completion times for one `size`-byte
 // exchange between two nodes.
 func AblationMPIRendezvous(cfg config.SystemConfig, size int64) (eager, rendezvous sim.Time) {
-	// Micro-rig: drives both nodes' components from ambient driver
-	// procs and waits directly on the remote counting event — remote-state
-	// coupling outside the fabric, so it measures on the serial engine
-	// regardless of -shards (output stays shard-count invariant).
-	cfg.Shards = 0
 	run := func(eagerLimit int64) sim.Time {
 		c := node.NewCluster(cfg, 2)
 		c0 := mpi.New(c.Nodes[0], eagerLimit)
@@ -461,11 +436,6 @@ func AblationTopology(cfg config.SystemConfig, nodes, leafSize int) (star, tree 
 // queues), and on the fat-tree with QueueCredits + ECN feeding the
 // adaptive RTO (bounded queueing; senders pace instead of piling up).
 func AblationFatTreeIncast(cfg config.SystemConfig, nodes int, size int64) (star, fattree, controlled sim.Time) {
-	// Micro-rig: ambient driver procs wait directly on the sink's counting
-	// event — remote-state coupling outside the fabric, so it measures on
-	// the serial engine regardless of -shards (output stays shard-count
-	// invariant; the fat-tree is serial-only anyway).
-	cfg.Shards = 0
 	run := func(c config.SystemConfig) sim.Time {
 		cl := node.NewCluster(c, nodes)
 		recvCT := cl.Nodes[0].Ptl.CTAlloc()

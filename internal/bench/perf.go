@@ -29,12 +29,6 @@ type PerfResult struct {
 	// harness (runtime.MemStats Mallocs delta / events) — a model-stack
 	// figure, not just the engine core.
 	AllocsPerEvent float64 `json:"allocs_per_event"`
-	// Shards is the cfg.Shards the experiment ran under (0 = the serial
-	// seed-exact engine). Baselines only compare like-for-like values.
-	Shards int `json:"shards,omitempty"`
-	// ShardEvents is the per-shard share of Events for sharded runs
-	// (sim.ShardExecuted deltas) — a load-balance report, not a perf one.
-	ShardEvents []uint64 `json:"shard_events,omitempty"`
 }
 
 // PerfReport is the BENCH_sim.json payload.
@@ -51,10 +45,7 @@ type PerfReport struct {
 
 type perfExp struct {
 	name string
-	// shards is the cfg.Shards the experiment runs under, recorded in its
-	// PerfResult so baselines compare like-for-like engine configurations.
-	shards int
-	run    func()
+	run  func()
 }
 
 // coreChain drives one engine through n dependent events — raw event-core
@@ -77,56 +68,30 @@ func coreChain(n int) {
 // a strict subset of full (same experiment names where present) so CI can
 // compare a smoke run against a committed full baseline.
 func perfSuite(cfg config.SystemConfig, preset string) ([]perfExp, error) {
-	core := perfExp{"core.chain", cfg.Shards, func() { coreChain(1 << 20) }}
-	fig1 := perfExp{"fig1", cfg.Shards, func() { Figure1(cfg) }}
-	fig8 := perfExp{"fig8", cfg.Shards, func() { Figure8Extended(cfg) }}
-	fig9 := perfExp{"fig9", cfg.Shards, func() { Figure9(cfg) }}
-	fig10 := perfExp{"fig10", cfg.Shards, func() { Figure10(cfg) }}
-	// fig10.s4 reruns the strong-scaling sweep on the 4-shard parallel
-	// engine — the multi-shard row every baseline carries so shard-speedup
-	// tracking has a committed reference. Results are shard-count
-	// invariant; only wall time may differ.
-	shCfg := cfg
-	shCfg.Shards = 4
-	fig10s4 := perfExp{"fig10.s4", 4, func() { Figure10(shCfg) }}
-	fig11 := perfExp{"fig11", cfg.Shards, func() {
+	core := perfExp{"core.chain", func() { coreChain(1 << 20) }}
+	fig1 := perfExp{"fig1", func() { Figure1(cfg) }}
+	fig8 := perfExp{"fig8", func() { Figure8Extended(cfg) }}
+	fig9 := perfExp{"fig9", func() { Figure9(cfg) }}
+	fig10 := perfExp{"fig10", func() { Figure10(cfg) }}
+	fig11 := perfExp{"fig11", func() {
 		if _, err := Figure11(cfg); err != nil {
 			panic(err)
 		}
 	}}
-	ablations := perfExp{"ablations", cfg.Shards, func() { RenderAblations(cfg) }}
-	faults := perfExp{"faults", cfg.Shards, func() { AblationFaultTolerance(cfg, []float64{0, 0.02, 0.05}) }}
-	resources := perfExp{"resources", cfg.Shards, func() { AblationResourcePressure(cfg, []float64{1.0, 0.5}) }}
-	sdc := perfExp{"sdc", cfg.Shards, func() { AblationSDC(cfg, []float64{0.02, 0.10}) }}
-	stragglers := perfExp{"stragglers", cfg.Shards, func() { AblationStraggler(cfg, []float64{10}) }}
-	incast := perfExp{"fattree.incast", cfg.Shards, func() { AblationFatTreeIncast(cfg, 16, 64<<10) }}
+	ablations := perfExp{"ablations", func() { RenderAblations(cfg) }}
+	faults := perfExp{"faults", func() { AblationFaultTolerance(cfg, []float64{0, 0.02, 0.05}) }}
+	resources := perfExp{"resources", func() { AblationResourcePressure(cfg, []float64{1.0, 0.5}) }}
+	sdc := perfExp{"sdc", func() { AblationSDC(cfg, []float64{0.02, 0.10}) }}
+	stragglers := perfExp{"stragglers", func() { AblationStraggler(cfg, []float64{10}) }}
+	incast := perfExp{"fattree.incast", func() { AblationFatTreeIncast(cfg, 16, 64<<10) }}
 	switch preset {
 	case "full":
-		return []perfExp{core, fig1, fig8, fig9, fig10, fig10s4, fig11, ablations, faults, resources, sdc, stragglers, incast}, nil
+		return []perfExp{core, fig1, fig8, fig9, fig10, fig11, ablations, faults, resources, sdc, stragglers, incast}, nil
 	case "smoke":
-		return []perfExp{core, fig1, fig8, fig10s4, faults, resources, incast}, nil
+		return []perfExp{core, fig1, fig8, faults, resources, incast}, nil
 	default:
 		return nil, fmt.Errorf("bench: unknown perf preset %q (want full or smoke)", preset)
 	}
-}
-
-// shardDelta diffs two sim.ShardExecuted snapshots; nil when nothing
-// sharded ran in between.
-func shardDelta(before, after []uint64) []uint64 {
-	var out []uint64
-	for i, a := range after {
-		var b uint64
-		if i < len(before) {
-			b = before[i]
-		}
-		if a != b {
-			for len(out) < i {
-				out = append(out, 0)
-			}
-			out = append(out, a-b)
-		}
-	}
-	return out
 }
 
 // RunPerf executes the preset's experiments, measuring each one's wall
@@ -151,7 +116,6 @@ func RunPerf(cfg config.SystemConfig, preset string) (*PerfReport, error) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		ev0 := sim.TotalExecuted()
-		sh0 := sim.ShardExecuted()
 		t0 := time.Now()
 		ex.run()
 		wall := time.Since(t0)
@@ -159,11 +123,9 @@ func RunPerf(cfg config.SystemConfig, preset string) (*PerfReport, error) {
 		runtime.ReadMemStats(&after)
 
 		r := PerfResult{
-			Name:        ex.name,
-			WallMs:      float64(wall.Microseconds()) / 1000,
-			Events:      events,
-			Shards:      ex.shards,
-			ShardEvents: shardDelta(sh0, sim.ShardExecuted()),
+			Name:   ex.name,
+			WallMs: float64(wall.Microseconds()) / 1000,
+			Events: events,
 		}
 		if wall > 0 {
 			r.EventsPerSec = float64(events) / wall.Seconds()
@@ -185,10 +147,10 @@ func RunPerf(cfg config.SystemConfig, preset string) (*PerfReport, error) {
 func (r *PerfReport) Render() string {
 	out := fmt.Sprintf("Simulator perf (%s preset, %s, GOMAXPROCS=%d, parallel=%d)\n",
 		r.Preset, r.GoVersion, r.GOMAXPROCS, r.Parallelism)
-	out += fmt.Sprintf("%-12s %10s %12s %14s %12s %7s\n", "experiment", "wall ms", "events", "events/sec", "allocs/event", "shards")
+	out += fmt.Sprintf("%-12s %10s %12s %14s %12s\n", "experiment", "wall ms", "events", "events/sec", "allocs/event")
 	for _, e := range r.Experiments {
-		out += fmt.Sprintf("%-12s %10.1f %12d %14.0f %12.2f %7d\n",
-			e.Name, e.WallMs, e.Events, e.EventsPerSec, e.AllocsPerEvent, e.Shards)
+		out += fmt.Sprintf("%-12s %10.1f %12d %14.0f %12.2f\n",
+			e.Name, e.WallMs, e.Events, e.EventsPerSec, e.AllocsPerEvent)
 	}
 	out += fmt.Sprintf("%-12s %10.1f %12d %14.0f\n", "total", r.TotalWallMs, r.TotalEvents, r.EventsPerSec)
 	return out
@@ -220,10 +182,7 @@ func LoadPerfReport(path string) (*PerfReport, error) {
 // must hold at least (1-tolerance) of the baseline events/sec. Returns a
 // human-readable line per regression (empty = no regression). Experiments
 // present in only one report are skipped, so a smoke run compares cleanly
-// against a full baseline. Only like-for-like engine configurations
-// compare: a row measured at -shards 4 never gates against a serial
-// baseline row (or vice versa) — shard counts change the wall-clock
-// story without changing correctness.
+// against a full baseline.
 func ComparePerf(cur, base *PerfReport, tolerance float64) []string {
 	baseline := map[string]PerfResult{}
 	for _, e := range base.Experiments {
@@ -232,7 +191,7 @@ func ComparePerf(cur, base *PerfReport, tolerance float64) []string {
 	var regressions []string
 	for _, e := range cur.Experiments {
 		b, ok := baseline[e.Name]
-		if !ok || b.EventsPerSec <= 0 || b.Shards != e.Shards {
+		if !ok || b.EventsPerSec <= 0 {
 			continue
 		}
 		floor := b.EventsPerSec * (1 - tolerance)

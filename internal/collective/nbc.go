@@ -186,7 +186,7 @@ func (n *NBC) Start(sched *Schedule) (*Request, error) {
 	req := &Request{done: sim.NewCounter(n.nd.Eng)}
 	base := n.consumed
 	n.consumed += sched.recvsBefore(len(sched.Rounds))
-	n.nd.Eng.GoLane(n.nd.Lane, fmt.Sprintf("nbc.%d", rank), func(p *sim.Proc) {
+	n.nd.Eng.Go(fmt.Sprintf("nbc.%d", rank), func(p *sim.Proc) {
 		var recvd int64
 		for _, round := range sched.Rounds {
 			sendCT := n.nd.Ptl.CTAlloc()
@@ -278,7 +278,7 @@ func (n *NBC) Offload(p *sim.Proc, sched *Schedule) (*Request, error) {
 	req := &Request{done: sim.NewCounter(n.nd.Eng)}
 	sends := int64(totalSends)
 	recvGoal := base + totalRecvs
-	n.nd.Eng.GoLane(n.nd.Lane, fmt.Sprintf("nbc.offload.%d", rank), func(wp *sim.Proc) {
+	n.nd.Eng.Go(fmt.Sprintf("nbc.offload.%d", rank), func(wp *sim.Proc) {
 		n.recvCT.Wait(wp, recvGoal)
 		sendCT.Wait(wp, sends)
 		req.done.Add(1)

@@ -169,44 +169,6 @@ func TestScenarioRackFailDeterministicTrace(t *testing.T) {
 	}
 }
 
-// A fail-slow-only scenario (no crash, so the parallel engines stay legal)
-// must be shard-invariant across the lane-assigned family — shards 1 and 4
-// produce the identical trace — and the serial seed-exact path (shards 0)
-// must replay itself bit-for-bit. (Serial and lane-assigned runs draw from
-// different — equally valid — fault streams, so they are compared within,
-// not across, families; see shards_test.go.)
-func TestScenarioShardCountInvariant(t *testing.T) {
-	run := func(shards int) (sim.Time, [][]float32, int64) {
-		const n, nelems = 8, 4096
-		data, _ := makeInputs(n, nelems, 7)
-		cfg := scenarioMatrixConfig(scenarioShapes[1], backends.GPUTN, 7)
-		cfg.Shards = shards
-		res, cl, _ := driveRecoverable(t, cfg, n, RecoverConfig{
-			Kind: backends.GPUTN, TotalBytes: nelems * elemBytes, Data: data,
-			Timeout: 300 * sim.Microsecond,
-		})
-		cl.Audit.Finish(cl.Eng.Now(), true)
-		if !cl.Audit.Clean() {
-			vs, _ := cl.Audit.Violations()
-			t.Fatalf("shards=%d audit violations: %v", shards, vs)
-		}
-		return res.Duration, res.Output, cl.Injector.Stats().PacketsDropped
-	}
-	d0a, o0a, p0a := run(0)
-	d0b, o0b, p0b := run(0)
-	if d0a != d0b || p0a != p0b || !reflect.DeepEqual(o0a, o0b) {
-		t.Fatalf("serial replay diverged: dur %v/%v drops %d/%d", d0a, d0b, p0a, p0b)
-	}
-	d1, o1, p1 := run(1)
-	d4, o4, p4 := run(4)
-	if d1 != d4 || p1 != p4 {
-		t.Fatalf("shards=4 diverged from shards=1: dur %v/%v drops %d/%d", d4, d1, p4, p1)
-	}
-	if !reflect.DeepEqual(o1, o4) {
-		t.Fatal("shards=4 outputs diverged from shards=1")
-	}
-}
-
 // A ScenarioConfig with a seed but no events must be bit-for-bit
 // indistinguishable from the zero config: the scenario compiles to nil,
 // draws nothing, and not a single event in the trace shifts.

@@ -3,7 +3,7 @@ package collective
 // The fat-tree topology suite: the switch-failure acceptance bar (any
 // single spine dies mid-allreduce and the collective reroutes to the exact
 // sum; the only path dies and the run diagnoses Unrouteable instead of
-// hanging), the pay-for-use and shard-invariance contracts, and the
+// hanging), the pay-for-use and deterministic-replay contracts, and the
 // topology chaos matrix (`make chaos-topology`): every backend x chaos
 // seed x {spine-kill, pod-cut, incast-storm} on a multi-pod fat-tree,
 // exact and audit-clean.
@@ -152,32 +152,26 @@ func TestFatTreeTopologyConfigZeroBitForBit(t *testing.T) {
 	}
 }
 
-// TestFatTreeShardCountInvariant: the fat-tree forces a single engine
-// (shared switch ports need one global event order), so a switch-kill run
-// must be identical at -shards 0, 1, and 4 — durations, outputs, and every
-// fabric counter.
-func TestFatTreeShardCountInvariant(t *testing.T) {
+// TestFatTreeDeterministicReplay: a spine-kill allreduce on the fat-tree
+// must replay bit-for-bit — durations, outputs, and every fabric counter.
+func TestFatTreeDeterministicReplay(t *testing.T) {
 	type outcome struct {
 		dur   sim.Time
 		out   []float32
 		drops int64
 		retx  int64
 	}
-	run := func(shards int) outcome {
+	run := func() outcome {
 		const n, nelems = 16, 2048
 		cfg := topoConfig(n)
-		cfg.Shards = shards
 		cfg.Faults.Switch = config.SwitchConfig{Events: []config.SwitchEvent{
 			{Tier: config.SwitchTierSpine, Index: 1, At: 10 * sim.Microsecond, RestoreAfter: 30 * sim.Microsecond},
 		}}
 		data, _ := makeInputs(n, nelems, 7)
 		c := node.NewCluster(cfg, n)
-		if len(c.Engines) != 1 {
-			t.Fatalf("shards=%d built %d engines, want 1 (serialRequired)", shards, len(c.Engines))
-		}
 		res, err := Run(c, Config{Kind: backends.GPUTN, TotalBytes: nelems * elemBytes, Data: data})
 		if err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
+			t.Fatal(err)
 		}
 		o := outcome{dur: res.Duration, out: res.Output[0], drops: c.Fabric.(*network.FatTree).SwitchDrops()}
 		for _, nd := range c.Nodes {
@@ -185,11 +179,9 @@ func TestFatTreeShardCountInvariant(t *testing.T) {
 		}
 		return o
 	}
-	ref := run(0)
-	for _, shards := range []int{1, 4} {
-		if got := run(shards); !reflect.DeepEqual(got, ref) {
-			t.Errorf("shards=%d diverged from shards=0:\n got %+v\nwant %+v", shards, got, ref)
-		}
+	ref := run()
+	if got := run(); !reflect.DeepEqual(got, ref) {
+		t.Errorf("replay diverged:\n got %+v\nwant %+v", got, ref)
 	}
 }
 

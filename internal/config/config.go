@@ -913,15 +913,6 @@ type SystemConfig struct {
 	// (fault.Scenario.Apply), so each sub-plan keeps its private RNG
 	// stream.
 	Scenario ScenarioConfig
-	// Shards selects the simulation engine layout. 0 (the default) is the
-	// serial seed-exact path: one engine, no event lanes, bit-identical to
-	// the pre-sharding simulator. N ≥ 1 assigns every node an event lane and
-	// round-robins nodes over N engines synchronized by bounded-window
-	// lookahead; Shards=1 is the single-engine laned reference that any
-	// Shards=N run reproduces exactly. Features that need one global event
-	// order (health membership, crash schedules, hedging, tracing, tree
-	// topology) force the effective engine count to 1 regardless.
-	Shards int
 }
 
 // Default returns the Table 2 configuration used for all headline results.
@@ -1008,10 +999,6 @@ func (c *SystemConfig) Validate() error {
 		return fmt.Errorf("config: DiscreteGPU requires IOBusLatency > 0")
 	case c.NIC.E2EChecksumLatency < 0:
 		return fmt.Errorf("config: NIC.E2EChecksumLatency = %v", c.NIC.E2EChecksumLatency)
-	case c.Shards < 0:
-		return fmt.Errorf("config: Shards = %d", c.Shards)
-	case c.Shards > 0 && c.Network.LinkLatency+c.Network.SwitchLatency <= 0:
-		return fmt.Errorf("config: sharding requires a positive cross-node latency (LinkLatency+SwitchLatency)")
 	}
 	if err := c.Network.FatTree.validate(); err != nil {
 		return err

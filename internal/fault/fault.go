@@ -50,13 +50,8 @@ type Stats struct {
 
 // Injector makes all fault decisions for one cluster. Its methods are
 // nil-safe: a nil receiver returns the zero (fault-free) verdict, so model
-// code calls them unconditionally.
-//
-// By default all decisions draw from one shared RNG stream — the seed
-// behavior every tuned chaos schedule depends on. Shard switches to
-// per-node streams and counters so decisions attributed to different nodes
-// never touch shared state; a sharded cluster requires it (each verdict is
-// drawn on the deciding node's engine).
+// code calls them unconditionally. All decisions draw from one seeded RNG
+// stream, in simulation event order.
 type Injector struct {
 	cfg   config.FaultConfig
 	rng   *rand.Rand
@@ -64,66 +59,6 @@ type Injector struct {
 	sdc   *SDCPlan
 	slow  *SlowPlan
 	stats Stats
-
-	// sharded mode (nil/empty when off)
-	nodeRngs  []*rand.Rand
-	nodeStats []Stats
-}
-
-// shardSeed derives node i's private stream seed from a base seed. Any
-// deterministic injective-ish mix works; what matters is that every node
-// gets an independent stream fixed by (base, i) alone.
-func shardSeed(base int64, i int) int64 {
-	return base*1000003 + int64(i)*7919 + 1
-}
-
-// Shard switches the injector (and its SDC and fail-slow plans) to
-// per-node fault streams and counters for a cluster of n nodes. Verdicts
-// become a deterministic function of (seed, node, local history) instead of
-// (seed, global draw order) — which is exactly what makes them invariant
-// under shard partitioning, at the cost of a different (equally valid)
-// fault schedule than the shared-stream mode. Aggregate accessors are
-// unaffected. Must be called before any draw.
-func (in *Injector) Shard(n int) {
-	if in == nil {
-		return
-	}
-	in.nodeRngs = make([]*rand.Rand, n)
-	for i := range in.nodeRngs {
-		in.nodeRngs[i] = rand.New(rand.NewSource(shardSeed(in.cfg.Seed, i)))
-	}
-	in.nodeStats = make([]Stats, n)
-	in.sdc.Shard(n)
-	in.slow.Shard(n)
-}
-
-// r returns the RNG for a decision attributed to node.
-func (in *Injector) r(node int) *rand.Rand {
-	if in.nodeRngs != nil {
-		return in.nodeRngs[node]
-	}
-	return in.rng
-}
-
-// st returns the counter block for a decision attributed to node.
-func (in *Injector) st(node int) *Stats {
-	if in.nodeStats != nil {
-		return &in.nodeStats[node]
-	}
-	return &in.stats
-}
-
-func (a *Stats) add(b Stats) {
-	a.PacketsDropped += b.PacketsDropped
-	a.FlapDrops += b.FlapDrops
-	a.PartitionDrops += b.PartitionDrops
-	a.DegradeDrops += b.DegradeDrops
-	a.PacketsCorrupted += b.PacketsCorrupted
-	a.PacketsDelayed += b.PacketsDelayed
-	a.DegradeSlowed += b.DegradeSlowed
-	a.TriggerDrops += b.TriggerDrops
-	a.TriggerDelays += b.TriggerDelays
-	a.CommandStalls += b.CommandStalls
 }
 
 // NewInjector builds an injector for an enabled fault configuration. It
@@ -169,18 +104,12 @@ func (in *Injector) Slow() *SlowPlan {
 	return in.slow
 }
 
-// Stats returns a snapshot of the injected-fault counters, aggregated
-// across per-node blocks in sharded mode. Read between runs, not from
-// concurrent model code.
+// Stats returns a snapshot of the injected-fault counters.
 func (in *Injector) Stats() Stats {
 	if in == nil {
 		return Stats{}
 	}
-	out := in.stats
-	for i := range in.nodeStats {
-		out.add(in.nodeStats[i])
-	}
-	return out
+	return in.stats
 }
 
 // Config returns the injector's configuration (zero for nil).
@@ -200,9 +129,7 @@ func (in *Injector) Packet(now sim.Time, src, dst int) PacketFate {
 	if in == nil {
 		return PacketFate{}
 	}
-	// Packet verdicts are drawn at the source's egress, so they attribute
-	// to src in sharded mode.
-	c, rng, st := &in.cfg, in.r(src), in.st(src)
+	c, rng, st := &in.cfg, in.rng, &in.stats
 	if c.FlapEnd > c.FlapStart && now >= c.FlapStart && now < c.FlapEnd &&
 		(src == c.FlapNode || dst == c.FlapNode) {
 		st.PacketsDropped++
@@ -256,7 +183,7 @@ func (in *Injector) TriggerFault(node int) (drop bool, delay sim.Time) {
 	if in == nil {
 		return false, 0
 	}
-	c, rng, st := &in.cfg, in.r(node), in.st(node)
+	c, rng, st := &in.cfg, in.rng, &in.stats
 	if c.TrigDropProb > 0 && rng.Float64() < c.TrigDropProb {
 		st.TriggerDrops++
 		return true, 0
@@ -277,8 +204,8 @@ func (in *Injector) CommandStall(node int) sim.Time {
 		return 0
 	}
 	c := &in.cfg
-	if c.CmdStallProb > 0 && c.CmdStallTime > 0 && in.r(node).Float64() < c.CmdStallProb {
-		in.st(node).CommandStalls++
+	if c.CmdStallProb > 0 && c.CmdStallTime > 0 && in.rng.Float64() < c.CmdStallProb {
+		in.stats.CommandStalls++
 		return c.CmdStallTime
 	}
 	return 0

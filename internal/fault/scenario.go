@@ -8,10 +8,8 @@
 // PartitionConfig, DegradeConfig, SlowConfig — before any plan is built.
 // Compilation is a pure config-to-config expansion: each sub-plan still
 // draws from its own private RNG stream, so composing a scenario never
-// perturbs the injector, SDC, or slow-plan streams, a zero-valued
-// ScenarioConfig leaves the config bit-for-bit untouched, and laned runs
-// stay shard-count invariant for free (the expanded schedules are the
-// same deterministic inputs the plans already handle).
+// perturbs the injector, SDC, or slow-plan streams, and a zero-valued
+// ScenarioConfig leaves the config bit-for-bit untouched.
 package fault
 
 import (

@@ -42,41 +42,6 @@ type SDCPlan struct {
 	stats   SDCStats
 	firstAt sim.Time
 	hasAny  bool
-
-	// sharded mode (nil/empty when off): per-node streams, counters, and
-	// first-injection watermarks, aggregated on read. See Injector.Shard.
-	nodeRngs  []*rand.Rand
-	nodeStats []SDCStats
-	nodeFirst []sim.Time
-	nodeHas   []bool
-}
-
-// Shard switches the plan to per-node corruption streams for n nodes.
-func (p *SDCPlan) Shard(n int) {
-	if p == nil {
-		return
-	}
-	p.nodeRngs = make([]*rand.Rand, n)
-	for i := range p.nodeRngs {
-		p.nodeRngs[i] = rand.New(rand.NewSource(shardSeed(p.cfg.Seed, i)))
-	}
-	p.nodeStats = make([]SDCStats, n)
-	p.nodeFirst = make([]sim.Time, n)
-	p.nodeHas = make([]bool, n)
-}
-
-func (p *SDCPlan) r(node int) *rand.Rand {
-	if p.nodeRngs != nil {
-		return p.nodeRngs[node]
-	}
-	return p.rng
-}
-
-func (p *SDCPlan) st(node int) *SDCStats {
-	if p.nodeStats != nil {
-		return &p.nodeStats[node]
-	}
-	return &p.stats
 }
 
 // NewSDCPlan compiles an SDC schedule; nil when nothing is armed.
@@ -98,19 +63,12 @@ func (p *SDCPlan) Config() config.SDCConfig {
 	return p.cfg
 }
 
-// Stats returns a snapshot of the injected-corruption counters, aggregated
-// across per-node blocks in sharded mode.
+// Stats returns a snapshot of the injected-corruption counters.
 func (p *SDCPlan) Stats() SDCStats {
 	if p == nil {
 		return SDCStats{}
 	}
-	out := p.stats
-	for _, s := range p.nodeStats {
-		out.WireCorruptions += s.WireCorruptions
-		out.BufferCorruptions += s.BufferCorruptions
-		out.ReducerCorruptions += s.ReducerCorruptions
-	}
-	return out
+	return p.stats
 }
 
 // FirstInjectionAt returns the simulated time of the first injected
@@ -121,26 +79,10 @@ func (p *SDCPlan) FirstInjectionAt() (sim.Time, bool) {
 	if p == nil {
 		return 0, false
 	}
-	first, ok := p.firstAt, p.hasAny
-	for i, has := range p.nodeHas {
-		if has && (!ok || p.nodeFirst[i] < first) {
-			first, ok = p.nodeFirst[i], true
-		}
-	}
-	if !ok {
-		return 0, false
-	}
-	return first, true
+	return p.firstAt, p.hasAny
 }
 
-func (p *SDCPlan) note(now sim.Time, node int) {
-	if p.nodeHas != nil {
-		if !p.nodeHas[node] {
-			p.nodeHas[node] = true
-			p.nodeFirst[node] = now
-		}
-		return
-	}
+func (p *SDCPlan) note(now sim.Time) {
 	if !p.hasAny {
 		p.hasAny = true
 		p.firstAt = now
@@ -154,12 +96,11 @@ func (p *SDCPlan) WirePacket(now sim.Time, src, dst int) bool {
 	if p == nil || p.cfg.WireProb <= 0 {
 		return false
 	}
-	// Drawn at the source's egress — attributes to src in sharded mode.
-	if p.r(src).Float64() >= p.cfg.WireProb {
+	if p.rng.Float64() >= p.cfg.WireProb {
 		return false
 	}
-	p.st(src).WireCorruptions++
-	p.note(now, src)
+	p.stats.WireCorruptions++
+	p.note(now)
 	return true
 }
 
@@ -169,11 +110,11 @@ func (p *SDCPlan) BufferCorrupt(now sim.Time, node int) bool {
 	if p == nil || p.cfg.BufferProb <= 0 || node != p.cfg.BufferNode {
 		return false
 	}
-	if p.r(node).Float64() >= p.cfg.BufferProb {
+	if p.rng.Float64() >= p.cfg.BufferProb {
 		return false
 	}
-	p.st(node).BufferCorruptions++
-	p.note(now, node)
+	p.stats.BufferCorruptions++
+	p.note(now)
 	return true
 }
 
@@ -186,8 +127,8 @@ func (p *SDCPlan) FaultyReducer(now sim.Time, rank int) bool {
 	if now < p.cfg.FaultyFrom || now >= p.cfg.FaultyUntil {
 		return false
 	}
-	p.st(rank).ReducerCorruptions++
-	p.note(now, rank)
+	p.stats.ReducerCorruptions++
+	p.note(now)
 	return true
 }
 

@@ -47,41 +47,6 @@ type SlowPlan struct {
 	stats   SlowStats
 	firstAt sim.Time
 	hasAny  bool
-
-	// sharded mode (nil/empty when off): per-node streams, counters, and
-	// first-injection watermarks, aggregated on read. See Injector.Shard.
-	nodeRngs  []*rand.Rand
-	nodeStats []SlowStats
-	nodeFirst []sim.Time
-	nodeHas   []bool
-}
-
-// Shard switches the plan to per-node slowdown streams for n nodes.
-func (p *SlowPlan) Shard(n int) {
-	if p == nil {
-		return
-	}
-	p.nodeRngs = make([]*rand.Rand, n)
-	for i := range p.nodeRngs {
-		p.nodeRngs[i] = rand.New(rand.NewSource(shardSeed(p.cfg.Seed, i)))
-	}
-	p.nodeStats = make([]SlowStats, n)
-	p.nodeFirst = make([]sim.Time, n)
-	p.nodeHas = make([]bool, n)
-}
-
-func (p *SlowPlan) r(node int) *rand.Rand {
-	if p.nodeRngs != nil {
-		return p.nodeRngs[node]
-	}
-	return p.rng
-}
-
-func (p *SlowPlan) st(node int) *SlowStats {
-	if p.nodeStats != nil {
-		return &p.nodeStats[node]
-	}
-	return &p.stats
 }
 
 // NewSlowPlan compiles a fail-slow schedule; nil when nothing is armed.
@@ -103,20 +68,12 @@ func (p *SlowPlan) Config() config.SlowConfig {
 	return p.cfg
 }
 
-// Stats returns a snapshot of the injected-slowdown counters, aggregated
-// across per-node blocks in sharded mode.
+// Stats returns a snapshot of the injected-slowdown counters.
 func (p *SlowPlan) Stats() SlowStats {
 	if p == nil {
 		return SlowStats{}
 	}
-	out := p.stats
-	for _, s := range p.nodeStats {
-		out.GPUDilations += s.GPUDilations
-		out.CmdStretched += s.CmdStretched
-		out.CmdStalls += s.CmdStalls
-		out.DMAStretched += s.DMAStretched
-	}
-	return out
+	return p.stats
 }
 
 // FirstInjectionAt returns the simulated time of the first injected
@@ -127,26 +84,10 @@ func (p *SlowPlan) FirstInjectionAt() (sim.Time, bool) {
 	if p == nil {
 		return 0, false
 	}
-	first, ok := p.firstAt, p.hasAny
-	for i, has := range p.nodeHas {
-		if has && (!ok || p.nodeFirst[i] < first) {
-			first, ok = p.nodeFirst[i], true
-		}
-	}
-	if !ok {
-		return 0, false
-	}
-	return first, true
+	return p.firstAt, p.hasAny
 }
 
-func (p *SlowPlan) note(now sim.Time, node int) {
-	if p.nodeHas != nil {
-		if !p.nodeHas[node] {
-			p.nodeHas[node] = true
-			p.nodeFirst[node] = now
-		}
-		return
-	}
+func (p *SlowPlan) note(now sim.Time) {
 	if !p.hasAny {
 		p.hasAny = true
 		p.firstAt = now
@@ -195,8 +136,8 @@ func (p *SlowPlan) GPUDilate(now sim.Time, node int, d sim.Time) sim.Time {
 	if factor <= 1 {
 		return d
 	}
-	p.st(node).GPUDilations++
-	p.note(now, node)
+	p.stats.GPUDilations++
+	p.note(now)
 	return sim.Time(float64(d) * factor)
 }
 
@@ -212,19 +153,19 @@ func (p *SlowPlan) CommandSlow(now sim.Time, node int, parse sim.Time) (stretche
 		if w.CmdFactor > 1 {
 			factor *= w.CmdFactor
 		}
-		if w.CmdStallProb > 0 && w.CmdStallTime > 0 && p.r(node).Float64() < w.CmdStallProb {
+		if w.CmdStallProb > 0 && w.CmdStallTime > 0 && p.rng.Float64() < w.CmdStallProb {
 			stall += w.CmdStallTime
 		}
 	})
 	stretched = parse
 	if factor > 1 {
 		stretched = sim.Time(float64(parse) * factor)
-		p.st(node).CmdStretched++
-		p.note(now, node)
+		p.stats.CmdStretched++
+		p.note(now)
 	}
 	if stall > 0 {
-		p.st(node).CmdStalls++
-		p.note(now, node)
+		p.stats.CmdStalls++
+		p.note(now)
 	}
 	return stretched, stall
 }
@@ -245,8 +186,8 @@ func (p *SlowPlan) DMADilate(now sim.Time, node int, d sim.Time) sim.Time {
 	if factor <= 1 {
 		return d
 	}
-	p.st(node).DMAStretched++
-	p.note(now, node)
+	p.stats.DMAStretched++
+	p.note(now)
 	return sim.Time(float64(d) * factor)
 }
 

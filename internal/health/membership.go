@@ -229,7 +229,6 @@ func (m *Membership) Config() config.HealthConfig { return m.cfg }
 
 // SetAuditor installs the invariant auditor; every stable view WaitStable
 // hands out is then checked for strict majority and view-id stability.
-// Health clusters run on the serial engine, so the global hook is safe.
 func (m *Membership) SetAuditor(a *audit.Auditor) { m.au = a }
 
 // Stats returns a snapshot of the transition counters.

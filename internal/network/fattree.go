@@ -55,9 +55,8 @@ type UnroutedSample struct {
 	Reason string
 }
 
-// FatTree is the three-tier fabric. It runs on a single engine
-// (node.serialRequired): ports are shared mutable state across all node
-// pairs, so there is no per-node lane partition to shard over.
+// FatTree is the three-tier fabric. Its ports are shared by all node pairs,
+// all driven by the cluster's one engine.
 type FatTree struct {
 	eng  *sim.Engine
 	cfg  config.NetworkConfig
@@ -222,9 +221,8 @@ func (f *FatTree) Bind(id NodeID, h Handler) { f.handlers[id] = h }
 // SetInjector implements Transport.
 func (f *FatTree) SetInjector(in *fault.Injector) { f.inj = in }
 
-// SetAuditor implements Transport. Fat-tree clusters run on a single
-// engine (serialRequired), so every hook fires in one event order. The
-// caller must RegisterHops(SwitchCount()) for the per-switch ledger.
+// SetAuditor implements Transport. The caller must
+// RegisterHops(SwitchCount()) for the per-switch ledger.
 func (f *FatTree) SetAuditor(a *audit.Auditor) { f.au = a }
 
 // occupancy is the port's credit load: frames queued, in service, and

@@ -66,7 +66,7 @@ type Message struct {
 type Handler func(m *Message)
 
 // packet is one MTU-sized segment of a message in flight. Packets are
-// pooled per node (see Fabric.newPacket): arrive and deliver are bound to
+// pooled (see Fabric.newPacket): arrive and deliver are bound to
 // the packet object once, when it is first allocated, so the two per-hop
 // schedules — switch flight and destination-link propagation — allocate
 // no closures in steady state.
@@ -109,29 +109,11 @@ func (pq *port) pop() *packet {
 func (pq *port) empty() bool { return pq.head == len(pq.q) }
 
 // Fabric is the star-topology interconnect.
-//
-// Sharding: every piece of fabric state is owned by exactly one node and only
-// touched by events running on that node's engine — egress stages, per-source
-// counters, and fault draws by the source; ingress stages, delivery counters,
-// and handlers by the destination. The one src→dst handoff is the
-// switch-flight event, which either re-lanes onto the shared engine or
-// crosses engines as window mail (see route). Message flag writes (damaged,
-// Corrupted, SilentCorrupt) happen on the source side and complete before the
-// last packet's flight is even scheduled; the only reader is the last
-// packet's delivery on the destination side, which the flight event
-// happens-before — so sharing *Message across shards is race-free.
 type Fabric struct {
 	eng *sim.Engine
 	cfg config.NetworkConfig
 	inj *fault.Injector
 	au  *audit.Auditor
-
-	// engs[i] is the engine owning node i's ports; lanes[i] its event lane.
-	// Default: every node on the construction engine, lane 0 (the serial
-	// seed-exact path). SetSharding installs the partition.
-	engs  []*sim.Engine
-	lanes []uint32
-	sh    *sim.Sharded
 
 	egress   []port // per-source injection stage
 	ingress  []port // per-destination switch output stage
@@ -140,18 +122,14 @@ type Fabric struct {
 	bytesSent      []int64
 	bytesDelivered []int64
 	msgsDelivered  []int64
-	pktsDropped    []int64    // by source node (the fault point)
-	msgsLost       []int64    // by source node
-	msgsCorrupted  []int64    // by source node
-	firstSend      []sim.Time // by source node
-	anyTraffic     []bool     // by source node
-	lastDelivery   []sim.Time // by destination node
+	pktsDropped    int64
+	msgsLost       int64
+	msgsCorrupted  int64
+	lastDelivery   sim.Time
 
-	// pktFree[i] recycles packet objects for node i. A packet is drawn
-	// from its source's list in Send and returned to whichever node's
-	// engine retires it (destination on delivery, source on drop), so
-	// each list is only ever touched by its owner's engine.
-	pktFree [][]*packet
+	// pktFree recycles packet objects: drawn in Send, returned on delivery
+	// or drop.
+	pktFree []*packet
 }
 
 // NewFabric creates a fabric with n nodes. Handlers must be bound with
@@ -163,39 +141,28 @@ func NewFabric(eng *sim.Engine, cfg config.NetworkConfig, n int) *Fabric {
 	f := &Fabric{
 		eng:            eng,
 		cfg:            cfg,
-		engs:           make([]*sim.Engine, n),
-		lanes:          make([]uint32, n),
 		egress:         make([]port, n),
 		ingress:        make([]port, n),
 		handlers:       make([]Handler, n),
 		bytesSent:      make([]int64, n),
 		bytesDelivered: make([]int64, n),
 		msgsDelivered:  make([]int64, n),
-		pktsDropped:    make([]int64, n),
-		msgsLost:       make([]int64, n),
-		msgsCorrupted:  make([]int64, n),
-		firstSend:      make([]sim.Time, n),
-		anyTraffic:     make([]bool, n),
-		lastDelivery:   make([]sim.Time, n),
-		pktFree:        make([][]*packet, n),
 	}
 	for i := 0; i < n; i++ {
 		i := i
-		f.engs[i] = eng
 		f.egress[i].done = func() { f.egressDone(i) }
 		f.ingress[i].done = func() { f.ingressDone(i) }
 	}
 	return f
 }
 
-// newPacket draws a recycled packet from node owner's free list (or
-// allocates one, binding its hop callbacks exactly once).
-func (f *Fabric) newPacket(owner int) *packet {
-	fl := f.pktFree[owner]
-	if n := len(fl); n > 0 {
-		p := fl[n-1]
-		fl[n-1] = nil
-		f.pktFree[owner] = fl[:n-1]
+// newPacket draws a recycled packet from the free list (or allocates one,
+// binding its hop callbacks exactly once).
+func (f *Fabric) newPacket() *packet {
+	if n := len(f.pktFree); n > 0 {
+		p := f.pktFree[n-1]
+		f.pktFree[n-1] = nil
+		f.pktFree = f.pktFree[:n-1]
 		return p
 	}
 	p := &packet{}
@@ -209,44 +176,11 @@ func (f *Fabric) newPacket(owner int) *packet {
 	return p
 }
 
-// freePacket returns a retired packet to node owner's free list. The
-// caller must hold the only remaining reference.
-func (f *Fabric) freePacket(owner int, p *packet) {
+// freePacket returns a retired packet to the free list. The caller must
+// hold the only remaining reference.
+func (f *Fabric) freePacket(p *packet) {
 	p.msg = nil
-	f.pktFree[owner] = append(f.pktFree[owner], p)
-}
-
-// Lookahead returns the minimum cross-node interaction latency of the
-// active topology under cfg — the smallest per-hop flight any packet pays
-// between two nodes' engines. On the star that is the single switch
-// flight (link propagation + switch traversal); on the multi-hop tree and
-// fat-tree fabrics the final ingress hop pays propagation only, so the
-// window must shrink to LinkLatency alone. Degradation and jitter only
-// stretch a hop (DelayFactor ≥ 1, Delay ≥ 0), so this bounds the
-// conservative synchronization window of a sharded run from below.
-func Lookahead(cfg config.NetworkConfig) sim.Time {
-	switch cfg.Topology {
-	case config.TopologyTree, config.TopologyFatTree:
-		return cfg.LinkLatency
-	default:
-		return cfg.LinkLatency + cfg.SwitchLatency
-	}
-}
-
-// SetSharding partitions the fabric's nodes across a sharded engine group:
-// engOf[i] is the engine owning node i and laneOf[i] its event lane. Must be
-// called before any traffic. The group's lookahead must not exceed
-// Lookahead(cfg) or cross-shard flights would violate the window invariant.
-func (f *Fabric) SetSharding(sh *sim.Sharded, engOf []*sim.Engine, laneOf []uint32) {
-	if len(engOf) != len(f.handlers) || len(laneOf) != len(f.handlers) {
-		panic("network: sharding tables must cover every node")
-	}
-	if sh.Lookahead() > Lookahead(f.cfg) {
-		panic(fmt.Sprintf("network: shard lookahead %v exceeds minimum flight %v", sh.Lookahead(), Lookahead(f.cfg)))
-	}
-	f.sh = sh
-	copy(f.engs, engOf)
-	copy(f.lanes, laneOf)
+	f.pktFree = append(f.pktFree, p)
 }
 
 // Nodes returns the number of ports.
@@ -262,9 +196,7 @@ func (f *Fabric) Bind(id NodeID, h Handler) {
 func (f *Fabric) SetInjector(in *fault.Injector) { f.inj = in }
 
 // SetAuditor installs the invariant auditor's per-pair message
-// conservation hooks (sends and losses counted by the source engine,
-// deliveries by the destination engine — the fabric's own cell-ownership
-// discipline). Nil keeps the hooks no-ops.
+// conservation hooks. Nil keeps the hooks no-ops.
 func (f *Fabric) SetAuditor(a *audit.Auditor) { f.au = a }
 
 // Send injects a message. It is asynchronous: the call returns immediately
@@ -284,11 +216,7 @@ func (f *Fabric) Send(m *Message) {
 		panic(fmt.Sprintf("network: send %d->%d but no handler is bound for node %d (call Bind before sending)", m.Src, m.Dst, m.Dst))
 	}
 	src := int(m.Src)
-	m.SentAt = f.engs[src].Now()
-	if !f.anyTraffic[src] || m.SentAt < f.firstSend[src] {
-		f.firstSend[src] = m.SentAt
-	}
-	f.anyTraffic[src] = true
+	m.SentAt = f.eng.Now()
 	f.bytesSent[src] += m.Size
 	f.au.MessageSent(src, int(m.Dst))
 
@@ -299,7 +227,7 @@ func (f *Fabric) Send(m *Message) {
 			chunk = f.cfg.MTUBytes
 		}
 		remaining -= chunk
-		pkt := f.newPacket(src)
+		pkt := f.newPacket()
 		pkt.msg, pkt.bytes, pkt.last, pkt.dst = m, chunk, remaining == 0, int(m.Dst)
 		f.egress[m.Src].push(pkt)
 		if remaining == 0 {
@@ -312,12 +240,11 @@ func (f *Fabric) Send(m *Message) {
 }
 
 // egressStart puts the next queued packet on the source link. The
-// completion event fires when its last byte has serialized. It is always
-// called from the source node's context, so the event inherits its lane.
+// completion event fires when its last byte has serialized.
 func (f *Fabric) egressStart(portID int) {
 	pq := &f.egress[portID]
 	pq.cur = pq.pop()
-	f.engs[portID].After(sim.BytesAtGbps(pq.cur.bytes, f.cfg.BandwidthGbps), pq.done)
+	f.eng.After(sim.BytesAtGbps(pq.cur.bytes, f.cfg.BandwidthGbps), pq.done)
 }
 
 // egressDone finishes one packet's source-port serialization and launches
@@ -329,29 +256,28 @@ func (f *Fabric) egressDone(portID int) {
 	// Fault-injection point: the packet has consumed its serialization
 	// time on the source port (a dropped packet still wasted that
 	// bandwidth) and is about to enter the switch.
-	se := f.engs[portID]
 	flight := f.cfg.LinkLatency + f.cfg.SwitchLatency
 	dropped := false
 	if f.inj != nil {
-		fate := f.inj.Packet(se.Now(), int(pkt.msg.Src), int(pkt.msg.Dst))
+		fate := f.inj.Packet(f.eng.Now(), int(pkt.msg.Src), int(pkt.msg.Dst))
 		if fate.Drop {
-			f.pktsDropped[portID]++
+			f.pktsDropped++
 			if !pkt.msg.damaged {
 				pkt.msg.damaged = true
-				f.msgsLost[portID]++
+				f.msgsLost++
 				f.au.MessageLost(portID, pkt.dst)
 			}
 			dropped = true
 		} else {
 			if fate.Corrupt && !pkt.msg.Corrupted {
 				pkt.msg.Corrupted = true
-				f.msgsCorrupted[portID]++
+				f.msgsCorrupted++
 			}
 			// Silent wire corruption: the payload bits flip but the link
 			// checksum stays green, so the Corrupted flag is NOT set and
 			// the frame delivers normally. Drawn from the SDC plan's
 			// private RNG so arming it never shifts the injector stream.
-			if f.inj.SDC().WirePacket(se.Now(), int(pkt.msg.Src), int(pkt.msg.Dst)) {
+			if f.inj.SDC().WirePacket(f.eng.Now(), int(pkt.msg.Src), int(pkt.msg.Dst)) {
 				pkt.msg.SilentCorrupt = true
 			}
 			if fate.DelayFactor > 1 {
@@ -364,32 +290,23 @@ func (f *Fabric) egressDone(portID int) {
 		}
 	}
 	if dropped {
-		f.freePacket(portID, pkt)
+		f.freePacket(pkt)
 	} else {
 		// Propagation to the switch plus switch traversal, then enqueue on
 		// the destination port. Flight time is pure delay (pipelined), so
 		// model it with a scheduled event rather than occupying the port.
-		// The flight is the src→dst handoff: it executes on the destination
-		// node's engine under its lane, either directly (same engine) or as
-		// window mail (flight ≥ lookahead by construction, see Lookahead).
-		if de := f.engs[pkt.dst]; de == se {
-			se.AfterLane(flight, f.lanes[pkt.dst], pkt.arrive)
-		} else {
-			f.sh.SendMail(se, de, flight, f.lanes[pkt.dst], "", pkt.arrive)
-		}
+		f.eng.After(flight, pkt.arrive)
 	}
 	if !pq.empty() {
 		f.egressStart(portID)
 	}
 }
 
-// ingressStart puts the next queued packet on the destination link. It runs
-// on the destination node's engine (kicked by the flight arrival or a prior
-// ingressDone, both destination-side events).
+// ingressStart puts the next queued packet on the destination link.
 func (f *Fabric) ingressStart(portID int) {
 	pq := &f.ingress[portID]
 	pq.cur = pq.pop()
-	f.engs[portID].After(sim.BytesAtGbps(pq.cur.bytes, f.cfg.BandwidthGbps), pq.done)
+	f.eng.After(sim.BytesAtGbps(pq.cur.bytes, f.cfg.BandwidthGbps), pq.done)
 }
 
 // ingressDone finishes one packet's destination-port serialization and,
@@ -399,7 +316,7 @@ func (f *Fabric) ingressDone(portID int) {
 	pq := &f.ingress[portID]
 	pktDone := pq.cur
 	pq.cur = nil
-	f.engs[portID].After(f.cfg.LinkLatency, pktDone.deliver)
+	f.eng.After(f.cfg.LinkLatency, pktDone.deliver)
 	if !pq.empty() {
 		f.ingressStart(portID)
 	}
@@ -412,7 +329,7 @@ func (f *Fabric) deliverPacket(pkt *packet) {
 	portID := pkt.dst
 	last, m := pkt.last, pkt.msg
 	f.bytesDelivered[portID] += pkt.bytes
-	f.freePacket(portID, pkt)
+	f.freePacket(pkt)
 	if !last {
 		return
 	}
@@ -422,7 +339,7 @@ func (f *Fabric) deliverPacket(pkt *packet) {
 		return
 	}
 	f.msgsDelivered[portID]++
-	f.lastDelivery[portID] = f.engs[portID].Now()
+	f.lastDelivery = f.eng.Now()
 	f.au.MessageDelivered(int(m.Src), portID)
 	h := f.handlers[portID]
 	if h == nil {
@@ -474,35 +391,15 @@ func (f *Fabric) BytesDelivered(id NodeID) int64 { return f.bytesDelivered[id] }
 // MessagesDelivered returns the count of complete messages delivered to a node.
 func (f *Fabric) MessagesDelivered(id NodeID) int64 { return f.msgsDelivered[id] }
 
-// The fault and delivery-time counters are kept per owning node so shards
-// never contend on them; the Transport accessors aggregate on read. They are
-// meant to be read between runs (reporting), not from concurrent model code.
-
 // LastDelivery returns the time of the most recent message delivery.
-func (f *Fabric) LastDelivery() sim.Time {
-	var last sim.Time
-	for _, t := range f.lastDelivery {
-		if t > last {
-			last = t
-		}
-	}
-	return last
-}
-
-func sum64(xs []int64) int64 {
-	var s int64
-	for _, x := range xs {
-		s += x
-	}
-	return s
-}
+func (f *Fabric) LastDelivery() sim.Time { return f.lastDelivery }
 
 // PacketsDropped returns the number of packets the fault injector dropped.
-func (f *Fabric) PacketsDropped() int64 { return sum64(f.pktsDropped) }
+func (f *Fabric) PacketsDropped() int64 { return f.pktsDropped }
 
 // MessagesLost returns the number of messages that lost at least one packet
 // and were therefore never delivered.
-func (f *Fabric) MessagesLost() int64 { return sum64(f.msgsLost) }
+func (f *Fabric) MessagesLost() int64 { return f.msgsLost }
 
 // MessagesCorrupted returns the number of messages flagged corrupt in flight.
-func (f *Fabric) MessagesCorrupted() int64 { return sum64(f.msgsCorrupted) }
+func (f *Fabric) MessagesCorrupted() int64 { return f.msgsCorrupted }

@@ -195,8 +195,7 @@ func (t *TreeFabric) Bind(id NodeID, h Handler) { t.handlers[id] = h }
 // SetInjector implements Transport.
 func (t *TreeFabric) SetInjector(in *fault.Injector) { t.inj = in }
 
-// SetAuditor implements Transport. Tree clusters run on a single engine
-// (serialRequired), so every hook fires in one event order.
+// SetAuditor implements Transport.
 func (t *TreeFabric) SetAuditor(a *audit.Auditor) { t.au = a }
 
 // Send implements Transport.

@@ -25,10 +25,6 @@ type Node struct {
 	Index int
 	Eng   *sim.Engine
 	Cfg   config.SystemConfig
-	// Lane is the node's event lane in a lane-assigned cluster
-	// (cfg.Shards ≥ 1): Index+1, with 0 reserved as the ambient lane. It is
-	// 0 on the serial seed-exact path (cfg.Shards == 0).
-	Lane uint32
 
 	CPU *cpu.CPU
 	GPU *gpu.GPU
@@ -53,7 +49,7 @@ type Node struct {
 // progress threads) should use this instead of Eng.Go so crashes take it
 // down realistically.
 func (nd *Node) Go(name string, fn func(p *sim.Proc)) *sim.Proc {
-	p := nd.Eng.GoLane(nd.Lane, fmt.Sprintf("n%d.%s", nd.Index, name), fn)
+	p := nd.Eng.Go(fmt.Sprintf("n%d.%s", nd.Index, name), fn)
 	nd.Bind(p)
 	return p
 }
@@ -114,18 +110,11 @@ func (nd *Node) Restart() {
 
 // Cluster is a set of nodes on one fabric.
 type Cluster struct {
-	// Eng is the primary engine — the only one on the serial path
-	// (cfg.Shards == 0), shard 0 of a sharded cluster. Ambient (non-node)
-	// work runs here.
-	Eng *sim.Engine
-	// Engines holds every engine, indexed by shard; Engines[0] == Eng.
-	Engines []*sim.Engine
-	// Sharded is the bounded-window coordinator driving Engines in
-	// deterministic lockstep; nil when cfg.Shards == 0.
-	Sharded *sim.Sharded
-	Cfg     config.SystemConfig
-	Fabric  network.Transport
-	Nodes   []*Node
+	// Eng is the cluster's one event engine; every node runs on it.
+	Eng    *sim.Engine
+	Cfg    config.SystemConfig
+	Fabric network.Transport
+	Nodes  []*Node
 	// Injector is the cluster-wide fault injector; nil when cfg.Faults is
 	// zero-valued (the lossless default).
 	Injector *fault.Injector
@@ -168,18 +157,6 @@ func (c *Cluster) NextCollectiveGen() int64 {
 // The topology is selected by cfg.Network.Topology: the Table 2 star by
 // default, or a two-level tree with cfg.Network.TreeLeafSize nodes per
 // leaf switch.
-// serialRequired reports whether the configuration uses a feature that
-// needs one global event order — heartbeat membership, crash schedules, and
-// the tree topology all mutate cross-node state through direct calls, not
-// fabric messages, so they cannot be split across engines. A lane-assigned
-// cluster with such a feature runs on a single engine regardless of
-// cfg.Shards, which keeps every shard count trivially identical.
-func serialRequired(cfg *config.SystemConfig) bool {
-	return cfg.Health.Enabled || cfg.Crash.Enabled() ||
-		cfg.Network.Topology == config.TopologyTree ||
-		cfg.Network.Topology == config.TopologyFatTree
-}
-
 func NewCluster(cfg config.SystemConfig, n int) *Cluster {
 	if err := cfg.Validate(); err != nil {
 		panic(fmt.Sprintf("node: %v", err))
@@ -188,88 +165,38 @@ func NewCluster(cfg config.SystemConfig, n int) *Cluster {
 		panic("node: cluster needs at least one node")
 	}
 	// Compose the correlated-failure scenario (if any) into the crash,
-	// partition, degrade, and slow schedules BEFORE any plan or engine-layout
-	// decision reads the config: an expanded crash schedule must flip
-	// serialRequired exactly as a hand-written one would.
+	// partition, degrade, and slow schedules BEFORE any plan reads the
+	// config: an expanded schedule must arm exactly as a hand-written one
+	// would.
 	scen, serr := fault.ApplyScenario(&cfg, n)
 	if serr != nil {
 		panic(fmt.Sprintf("node: %v", serr))
 	}
-	// Engine layout: cfg.Shards == 0 is the serial seed-exact path (one
-	// engine, no lanes). cfg.Shards ≥ 1 assigns every node a lane and
-	// round-robins nodes over min(Shards, n) engines — except that serial-
-	// required features cap the engine count at 1.
-	laned := cfg.Shards > 0
-	nshards := 1
-	if laned && !serialRequired(&cfg) {
-		nshards = cfg.Shards
-		if nshards > n {
-			nshards = n
-		}
-	}
 	eng := sim.NewEngine()
-	engines := []*sim.Engine{eng}
-	var sharded *sim.Sharded
-	if laned {
-		for k := 1; k < nshards; k++ {
-			engines = append(engines, sim.NewEngine())
-		}
-		sharded = sim.NewSharded(engines, network.Lookahead(cfg.Network))
-	}
-	engOf := func(i int) *sim.Engine { return engines[i%len(engines)] }
-	laneOf := func(i int) uint32 {
-		if !laned {
-			return 0
-		}
-		return uint32(i + 1)
-	}
 
 	var fab network.Transport
 	switch cfg.Network.Topology {
 	case config.TopologyStar, "":
-		star := network.NewFabric(eng, cfg.Network, n)
-		if laned {
-			engTab := make([]*sim.Engine, n)
-			laneTab := make([]uint32, n)
-			for i := 0; i < n; i++ {
-				engTab[i], laneTab[i] = engOf(i), laneOf(i)
-			}
-			star.SetSharding(sharded, engTab, laneTab)
-		}
-		fab = star
+		fab = network.NewFabric(eng, cfg.Network, n)
 	case config.TopologyTree:
-		// serialRequired keeps tree clusters on one engine; flights inherit
-		// the sender's lane, which is deterministic on a single engine.
 		fab = network.NewTreeFabric(eng, cfg.Network, n, cfg.Network.TreeLeafSize)
 	case config.TopologyFatTree:
-		// Like the tree, the fat-tree's shared switch ports force a single
-		// engine (serialRequired), so every shard count runs identically.
 		fab = network.NewFatTree(eng, cfg.Network, n)
 	default:
 		panic(fmt.Sprintf("node: unknown topology %q", cfg.Network.Topology))
 	}
 	inj := fault.NewInjector(cfg.Faults)
-	if laned {
-		// Lane-assigned clusters draw fault verdicts on the deciding node's
-		// engine, so every verdict stream and counter must be per-node.
-		inj.Shard(n)
-	}
 	fab.SetInjector(inj)
 	au := audit.New(n)
 	if ft, ok := fab.(*network.FatTree); ok {
 		au.RegisterHops(ft.SwitchCount())
 	}
 	fab.SetAuditor(au)
-	c := &Cluster{Eng: eng, Engines: engines, Sharded: sharded, Cfg: cfg, Fabric: fab, Injector: inj, Scenario: scen, Audit: au}
+	c := &Cluster{Eng: eng, Cfg: cfg, Fabric: fab, Injector: inj, Scenario: scen, Audit: au}
 	for i := 0; i < n; i++ {
-		e := engOf(i)
-		// Bracket construction with the node's lane: the NIC's service
-		// processes and any setup events spawned here must be born on (and
-		// execute under) the node's lane, not the ambient one.
-		e.SetLane(laneOf(i))
 		hostMem := memsys.FromCPU(cfg.CPU)
 		gpuMem := memsys.FromGPU(cfg.GPU, cfg.CPU)
-		nc := nic.New(e, cfg.NIC, network.NodeID(i), fab)
+		nc := nic.New(eng, cfg.NIC, network.NodeID(i), fab)
 		nc.SetInjector(inj)
 		nc.SetAuditor(au)
 		if cfg.DiscreteGPU {
@@ -277,13 +204,12 @@ func NewCluster(cfg config.SystemConfig, n int) *Cluster {
 		}
 		nd := &Node{
 			Index:   i,
-			Eng:     e,
-			Lane:    laneOf(i),
+			Eng:     eng,
 			Cfg:     cfg,
-			CPU:     cpu.New(e, cfg.CPU, hostMem),
-			GPU:     gpu.New(e, cfg.GPU, gpuMem),
+			CPU:     cpu.New(eng, cfg.CPU, hostMem),
+			GPU:     gpu.New(eng, cfg.GPU, gpuMem),
 			NIC:     nc,
-			Ptl:     portals.Init(e, nc, i, n),
+			Ptl:     portals.Init(eng, nc, i, n),
 			HostMem: hostMem,
 			GPUMem:  gpuMem,
 		}
@@ -293,11 +219,10 @@ func NewCluster(cfg config.SystemConfig, n int) *Cluster {
 			// straggler is still a straggler until its window closes.
 			idx := i
 			nd.GPU.SetDilation(func(d sim.Time) sim.Time {
-				return slow.GPUDilate(e.Now(), idx, d)
+				return slow.GPUDilate(eng.Now(), idx, d)
 			})
 		}
 		c.Nodes = append(c.Nodes, nd)
-		e.SetLane(0)
 	}
 	if plan := fault.NewCrashPlan(cfg.Crash); plan != nil {
 		c.Plan = plan
@@ -352,14 +277,9 @@ func (c *Cluster) RestartNode(i int) {
 // Size returns the number of nodes.
 func (c *Cluster) Size() int { return len(c.Nodes) }
 
-// Run drives the simulation until the event queues drain — through the
-// bounded-window coordinator on a sharded cluster, directly otherwise.
+// Run drives the simulation until the event queue drains.
 func (c *Cluster) Run() {
-	if c.Sharded != nil {
-		c.Sharded.Run()
-	} else {
-		c.Eng.Run()
-	}
+	c.Eng.Run()
 	c.quiescent = true
 }
 
@@ -367,21 +287,15 @@ func (c *Cluster) Run() {
 // stranded in flight at the cutoff exempt the run from the auditor's full
 // conservation reconciliation (over-delivery is still checked).
 func (c *Cluster) RunUntil(t sim.Time) {
-	if c.Sharded != nil {
-		c.Sharded.RunUntil(t)
-	} else {
-		c.Eng.RunUntil(t)
-	}
+	c.Eng.RunUntil(t)
 	c.quiescent = false
 }
 
-// GoRank spawns the driver process for one rank's software, pinned to the
-// rank's engine and lane. Collective and workload drivers must use it (or
-// Node.Go) rather than Eng.Go, so a sharded cluster runs each rank's loop on
-// the engine owning its node.
+// GoRank spawns the driver process for one rank's software. Unlike
+// Node.Go, the process is not bound to the node, so a crash does not kill
+// it.
 func (c *Cluster) GoRank(i int, name string, fn func(p *sim.Proc)) *sim.Proc {
-	nd := c.Nodes[i]
-	return nd.Eng.GoLane(nd.Lane, name, fn)
+	return c.Nodes[i].Eng.Go(name, fn)
 }
 
 // GoEach spawns one host process per node (rank order), the common shape
@@ -408,7 +322,7 @@ func (c *Cluster) Diagnose() *sim.HangError {
 		}
 		starved = append(starved, nd.NIC.StarvedTriggers()...)
 	}
-	he := sim.DiagnoseAll(c.Engines, starved)
+	he := c.Eng.Diagnose(starved)
 	if he != nil {
 		he.Crashed = crashed
 		he.Partitions = c.unhealedPartitions()

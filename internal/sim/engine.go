@@ -12,32 +12,20 @@ import (
 // stays queued until popped, and the queue compacts when cancelled entries
 // outnumber live ones.
 //
-// Ordering: every scheduled event carries a birth key — the simulated time
-// of the scheduling call (bTime), the lane of the scheduling context
-// (bLane), and that lane's monotone schedule counter (bIdx) — and the heap
-// orders same-time events by it. A lane is a logical event stream (the
-// sharded cluster assigns one per node; lane 0 is the ambient default). For
-// a single-lane engine the key order degenerates to exactly the seed
-// engine's (at, seq) arrival order: bTime is nondecreasing in arrival order
-// and bIdx breaks its ties in arrival order, so traces are bit-identical to
-// the seed. The point of the richer key is the sharded engine (shard.go):
-// it is assigned at birth from scheduler-local state only, so the same
-// model run produces the same keys no matter how lanes are partitioned
-// into shards — which is what makes bounded-window parallel execution
-// deterministic.
+// Ordering: events fire in (at, seq) order, where seq is the engine's
+// monotone schedule counter, so same-time events fire in the order they
+// were scheduled.
 
 // eventSlot is one arena cell. A slot is either queued (its gen matches
 // outstanding handles) or free (gen bumped, on the free list). Slots are
 // freed before their callback runs, so self-cancellation during dispatch is
 // a no-op, matching the seed engine's "cancelling a fired event does
-// nothing" semantics. lane is the event's execution lane: the ambient lane
-// its callback runs under (and therefore the birth lane of its children).
+// nothing" semantics.
 type eventSlot struct {
 	at        Time
 	fn        func()
 	proc      *Proc // fast path: wake this process instead of calling a closure
 	label     string
-	lane      uint32
 	gen       uint32
 	cancelled bool
 }
@@ -45,24 +33,16 @@ type eventSlot struct {
 // heapEntry carries the ordering key inline so sift comparisons never chase
 // into the arena.
 type heapEntry struct {
-	at    Time
-	bTime Time   // simulated time of the scheduling call
-	bIdx  uint64 // birth lane's monotone schedule counter
-	bLane uint32 // lane of the scheduling context
-	id    int32
+	at  Time
+	seq uint64
+	id  int32
 }
 
 func (a heapEntry) less(b heapEntry) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
-	if a.bTime != b.bTime {
-		return a.bTime < b.bTime
-	}
-	if a.bLane != b.bLane {
-		return a.bLane < b.bLane
-	}
-	return a.bIdx < b.bIdx
+	return a.seq < b.seq
 }
 
 // Event is a cancellable handle to a scheduled event. It is a small value —
@@ -118,18 +98,8 @@ func (ev Event) Cancelled() bool {
 // separate replicas may run on separate OS threads.
 type Engine struct {
 	now Time
-
-	// curLane is the lane of the currently executing context: the executing
-	// event's lane during dispatch, or whatever SetLane installed between
-	// runs (0 by default). Newly scheduled events are stamped with it as
-	// their birth lane and inherit it as their execution lane.
-	curLane uint32
-	// laneSeq holds one monotone schedule counter per lane; laneSeq[0] is
-	// the seed engine's seq. Grown on demand, so single-lane engines pay
-	// one slice cell.
-	laneSeq []uint64
-	// shard is this engine's index within a Sharded group (0 standalone).
-	shard int
+	// seq counts schedule calls; it breaks same-time ties in arrival order.
+	seq uint64
 
 	arena      []eventSlot
 	free       []int32
@@ -139,13 +109,11 @@ type Engine struct {
 
 	// nowq is the same-time fast path: events scheduled at the current
 	// instant in a FIFO ring, bypassing the heap. This is sound because
-	// birth-key ordering degenerates to FIFO for at == now (all such events
-	// share bTime == now and counters grow in arrival order), and no heap
-	// entry at the current time can be younger than a nowq entry — once the
-	// clock reaches T, scheduling at T lands in nowq, never the heap, so
-	// heap entries at T (bTime < T) always predate (and outrank) every nowq
-	// entry. Process wakes — the dominant event class — are exactly this
-	// shape.
+	// (at, seq) ordering is FIFO for at == now, and no heap entry at the
+	// current time can be younger than a nowq entry — once the clock
+	// reaches T, scheduling at T lands in nowq, never the heap, so heap
+	// entries at T were scheduled earlier and outrank every nowq entry.
+	// Process wakes — the dominant event class — are exactly this shape.
 	nowq     []int32
 	nowqHead int
 
@@ -201,14 +169,6 @@ func (e *Engine) ScheduleNamed(at Time, label string, fn func()) Event {
 	return e.schedule(at, label, fn, nil)
 }
 
-// AfterLane is After with an explicit execution lane for the scheduled
-// event; the birth key still comes from the current context. The fabric
-// uses it to re-lane a cross-node flight to its destination, so the
-// delivery's downstream event chain is attributed to the receiving node.
-func (e *Engine) AfterLane(d Time, execLane uint32, fn func()) Event {
-	return e.scheduleLane(e.now+d, "", fn, nil, execLane)
-}
-
 // scheduleProc schedules a dispatch of p — the wake fast path. It stores
 // the process on the event slot instead of allocating a closure, which
 // keeps Sleep/wake allocation-free.
@@ -217,28 +177,13 @@ func (e *Engine) scheduleProc(at Time, label string, p *Proc) Event {
 }
 
 func (e *Engine) schedule(at Time, label string, fn func(), proc *Proc) Event {
-	lane := e.curLane
-	if proc != nil {
-		// A process dispatch executes as that process, whatever scheduled it.
-		lane = proc.lane
-	}
-	return e.scheduleLane(at, label, fn, proc, lane)
-}
-
-// scheduleLane is schedule with an explicit execution lane: the event's
-// callback will run under execLane, while the birth key still comes from
-// the scheduling context. The fabric uses it to re-lane cross-node flight
-// events to their destination, so a delivery's downstream event chain is
-// attributed to the receiving node's lane.
-func (e *Engine) scheduleLane(at Time, label string, fn func(), proc *Proc, execLane uint32) Event {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", at, e.now))
 	}
 	if fn == nil && proc == nil {
 		panic("sim: scheduling nil event function")
 	}
-	bLane := e.curLane
-	bIdx := e.laneNext(bLane)
+	e.seq++
 	var id int32
 	if n := len(e.free); n > 0 {
 		id = e.free[n-1]
@@ -248,56 +193,13 @@ func (e *Engine) scheduleLane(at Time, label string, fn func(), proc *Proc, exec
 		id = int32(len(e.arena) - 1)
 	}
 	s := &e.arena[id]
-	s.at, s.fn, s.proc, s.label, s.lane, s.cancelled = at, fn, proc, label, execLane, false
+	s.at, s.fn, s.proc, s.label, s.cancelled = at, fn, proc, label, false
 	if at == e.now {
 		e.nowq = append(e.nowq, id)
 	} else {
-		e.heapPush(heapEntry{at: at, bTime: e.now, bIdx: bIdx, bLane: bLane, id: id})
+		e.heapPush(heapEntry{at: at, seq: e.seq, id: id})
 	}
 	return Event{eng: e, at: at, id: id, gen: s.gen}
-}
-
-// laneNext advances and returns the lane's schedule counter, growing the
-// counter table on first use of a new lane.
-func (e *Engine) laneNext(lane uint32) uint64 {
-	if int(lane) >= len(e.laneSeq) {
-		grown := make([]uint64, lane+1)
-		copy(grown, e.laneSeq)
-		e.laneSeq = grown
-	}
-	e.laneSeq[lane]++
-	return e.laneSeq[lane]
-}
-
-// SetLane installs the ambient lane for scheduling and spawning done outside
-// any event context (model construction, setup between runs). The sharded
-// cluster brackets each node's construction with it so the node's service
-// processes and setup events are attributed to the node's lane.
-func (e *Engine) SetLane(lane uint32) { e.curLane = lane }
-
-// Lane reports the lane of the currently executing context.
-func (e *Engine) Lane() uint32 { return e.curLane }
-
-// PushForeign inserts an event born on another engine of the same sharded
-// group, carrying its original birth key so same-time ordering matches the
-// single-engine run. Only the shard coordinator calls it, between windows,
-// when no engine is executing. The event must be in this engine's strict
-// future (the lookahead window guarantees it).
-func (e *Engine) PushForeign(at, bTime Time, bLane uint32, bIdx uint64, execLane uint32, label string, fn func()) {
-	if at <= e.now {
-		panic(fmt.Sprintf("sim: foreign event at %v not beyond now %v (lookahead violated)", at, e.now))
-	}
-	var id int32
-	if n := len(e.free); n > 0 {
-		id = e.free[n-1]
-		e.free = e.free[:n-1]
-	} else {
-		e.arena = append(e.arena, eventSlot{})
-		id = int32(len(e.arena) - 1)
-	}
-	s := &e.arena[id]
-	s.at, s.fn, s.proc, s.label, s.lane, s.cancelled = at, fn, nil, label, execLane, false
-	e.heapPush(heapEntry{at: at, bTime: bTime, bIdx: bIdx, bLane: bLane, id: id})
 }
 
 // freeSlot reclaims a slot: outstanding handles become stale (gen bump) and
@@ -363,10 +265,8 @@ func (e *Engine) step() bool {
 	}
 	s := &e.arena[id]
 	at, fn, proc, label := s.at, s.fn, s.proc, s.label
-	lane := s.lane
 	e.freeSlot(id)
 	e.now = at
-	e.curLane = lane
 	e.executed++
 	if e.Trace != nil && label != "" {
 		e.Trace(e.now, label)
@@ -385,32 +285,7 @@ func (e *Engine) Run() {
 	start := e.executed
 	for !e.stopped && e.step() {
 	}
-	e.curLane = 0
 	totalExecuted.Add(e.executed - start)
-}
-
-// RunWindow executes events with time strictly before end, leaving later
-// events queued. Unlike RunUntil it does not advance the clock to end —
-// window bookkeeping belongs to the sharded coordinator, and the next
-// window's start is recomputed from the queues. The executed-event flush
-// into the process-wide total is also the coordinator's job.
-func (e *Engine) RunWindow(end Time) {
-	e.stopped = false
-	for !e.stopped {
-		e.drainCancelled()
-		next, ok := e.nextAt()
-		if !ok || next >= end {
-			return
-		}
-		e.step()
-	}
-}
-
-// NextAt reports the time of the next live event; ok is false when the
-// queue is empty.
-func (e *Engine) NextAt() (Time, bool) {
-	e.drainCancelled()
-	return e.nextAt()
 }
 
 // RunUntil executes events with time ≤ deadline, leaving later events
@@ -426,7 +301,6 @@ func (e *Engine) RunUntil(deadline Time) {
 		}
 		e.step()
 	}
-	e.curLane = 0
 	totalExecuted.Add(e.executed - start)
 	if e.now < deadline {
 		e.now = deadline
@@ -450,7 +324,7 @@ func (e *Engine) nextAt() (Time, bool) {
 
 // compact removes every lazily-cancelled entry from both queues in one pass
 // and re-establishes the heap invariant. Triggered when cancelled entries
-// outnumber live ones; ordering is unaffected because the birth key is a
+// outnumber live ones; ordering is unaffected because (at, seq) is a
 // total order independent of heap layout and the nowq filter preserves FIFO.
 func (e *Engine) compact() {
 	keep := e.heap[:0]

@@ -45,14 +45,7 @@ type Proc struct {
 	// (when function-level defers do not exist yet). Join counting uses
 	// this to stay accurate across crashes.
 	onExit []func()
-	// lane is the execution lane every event scheduled for this process
-	// runs under (and therefore the birth lane of events the process
-	// schedules while running). Fixed at spawn time.
-	lane uint32
 }
-
-// Lane returns the process's execution lane.
-func (p *Proc) Lane() uint32 { return p.lane }
 
 // Name returns the label given at spawn time.
 func (p *Proc) Name() string { return p.name }
@@ -68,21 +61,12 @@ func (p *Proc) Engine() *Engine { return p.eng }
 func (p *Proc) Now() Time { return p.eng.Now() }
 
 // Go spawns a process. fn starts executing at the current simulation time,
-// after already-queued events at this time have run. The process inherits
-// the engine's current lane (the lane of the scheduling context).
+// after already-queued events at this time have run.
 func (e *Engine) Go(name string, fn func(p *Proc)) *Proc {
-	return e.GoLane(e.curLane, name, fn)
-}
-
-// GoLane spawns a process pinned to an explicit execution lane. All events
-// that resume the process, and all events it schedules while running, carry
-// this lane.
-func (e *Engine) GoLane(lane uint32, name string, fn func(p *Proc)) *Proc {
 	p := &Proc{
 		eng:    e,
 		name:   name,
 		resume: make(chan struct{}),
-		lane:   lane,
 	}
 	e.nprocs++
 	e.procs = append(e.procs, p)

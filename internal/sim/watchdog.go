@@ -233,29 +233,12 @@ func (e *Engine) BlockedWaiters() []BlockedWaiter {
 // entries awaiting reclamation cannot wake anyone and do not defer the
 // diagnosis.)
 func (e *Engine) Diagnose(starved []StarvedTrigger) *HangError {
-	return DiagnoseAll([]*Engine{e}, starved)
-}
-
-// DiagnoseAll is Diagnose across a sharded engine group. The simulation is
-// quiescent only when every engine's queue is drained (a pending event on
-// any shard can still wake waiters anywhere via cross-shard mail), blocked
-// waiters aggregate across all engines, and the quiescence time is the
-// latest engine clock (the shard coordinator aligns clocks at quiescence,
-// so for a completed sharded run they agree).
-func DiagnoseAll(engines []*Engine, starved []StarvedTrigger) *HangError {
-	var blocked []BlockedWaiter
-	var at Time
-	for _, e := range engines {
-		if e.Pending() > 0 {
-			return nil
-		}
-		blocked = append(blocked, e.BlockedWaiters()...)
-		if e.now > at {
-			at = e.now
-		}
+	if e.Pending() > 0 {
+		return nil
 	}
+	blocked := e.BlockedWaiters()
 	if len(blocked) == 0 && len(starved) == 0 {
 		return nil
 	}
-	return &HangError{At: at, Blocked: blocked, Starved: starved}
+	return &HangError{At: e.now, Blocked: blocked, Starved: starved}
 }
