@@ -20,7 +20,6 @@ import (
 	"repro/internal/backends"
 	"repro/internal/collective"
 	"repro/internal/config"
-	"repro/internal/network"
 	"repro/internal/node"
 	"repro/internal/sim"
 )
@@ -49,9 +48,9 @@ func main() {
 	}}
 
 	cluster := node.NewCluster(cfg, nodesN)
-	ft := cluster.Fabric.(*network.FatTree)
+	fab := cluster.Fabric
 	fmt.Printf("fat-tree: %d leaves, %d pods, %d spines, %d cores (%d switches)\n",
-		ft.Leaves(), ft.Pods(), ft.Spines(), ft.Cores(), ft.SwitchCount())
+		fab.Leaves(), fab.Pods(), fab.Spines(), fab.Cores(), fab.SwitchCount())
 	fmt.Println(cluster.SwitchPlan.Summary())
 
 	res, err := collective.Run(cluster, collective.Config{
@@ -76,7 +75,7 @@ func main() {
 	fmt.Printf("completed in %v despite the kill: exact sum on all %d ranks\n",
 		res.Duration, nodesN)
 	fmt.Printf("fabric: switchDrops=%d retransmits=%d unrouteable=%d\n\n",
-		ft.SwitchDrops(), retrans, ft.Unrouteable())
+		fab.SwitchDrops(), retrans, fab.Unrouteable())
 
 	// --- Act 2: kill the whole redundancy -> a named diagnosis, never a hang.
 	cfg2 := config.Default()
@@ -87,7 +86,6 @@ func main() {
 		{Tier: config.SwitchTierSpine, Index: 1, At: 2 * sim.Microsecond},
 	}}
 	cluster2 := node.NewCluster(cfg2, nodesN)
-	ft2 := cluster2.Fabric.(*network.FatTree)
 	fmt.Println(cluster2.SwitchPlan.Summary())
 	_, err = collective.Run(cluster2, collective.Config{
 		Kind:       backends.GPUTN,
@@ -98,7 +96,7 @@ func main() {
 		log.Fatal("allreduce over a severed pod somehow completed")
 	}
 	fmt.Printf("with both pod-0 spines dead the run fails fast (unrouteable=%d):\n%v\n",
-		ft2.Unrouteable(), err)
+		cluster2.Fabric.Unrouteable(), err)
 
 	fmt.Println("\nKilling any single switch on a redundant fat-tree is survivable:")
 	fmt.Println("ECMP re-picks paths per retransmission. Killing the last path is")

@@ -257,3 +257,46 @@ func TestSDCConfigZeroIsBitForBit(t *testing.T) {
 		}
 	}
 }
+
+// Silent wire corruption is drawn at the fabric's one fault point, so it
+// reaches every topology: on the tree and the fat-tree, as on the star,
+// the SDC plan flips frames on the wire, the e2e checksum catches them,
+// and retransmission heals the sum.
+func TestSDCWireCorruptionEveryTopology(t *testing.T) {
+	const n = 8
+	for _, topo := range []string{config.TopologyStar, config.TopologyTree, config.TopologyFatTree} {
+		t.Run(topo, func(t *testing.T) {
+			cfg := config.Default()
+			cfg.Network.Topology = topo
+			if topo == config.TopologyTree {
+				cfg.Network.TreeLeafSize = 2
+			}
+			cfg.NIC.Reliability = config.DefaultReliability()
+			cfg.NIC.E2EChecksum = true
+			cfg.Faults = config.FaultConfig{Seed: 1, SDC: config.SDCConfig{Seed: 1, WireProb: 0.05}}
+			data, want := makeInputs(n, sdcElems, 3)
+			cl := node.NewCluster(cfg, n)
+			res, err := Run(cl, Config{Kind: backends.HDN, TotalBytes: sdcElems * elemBytes, Data: data})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := cl.Injector.SDC().Stats().WireCorruptions; got == 0 {
+				t.Fatal("WireProb > 0 injected no wire corruption")
+			}
+			var caught int64
+			for _, nd := range cl.Nodes {
+				caught += nd.NIC.Stats().E2EChecksumFails
+			}
+			if caught == 0 {
+				t.Fatal("the e2e checksum caught no wire corruption")
+			}
+			for r := 0; r < n; r++ {
+				for i, v := range res.Output[r] {
+					if v != want[i] {
+						t.Fatalf("rank %d elem %d: got %v want %v", r, i, v, want[i])
+					}
+				}
+			}
+		})
+	}
+}

@@ -17,7 +17,6 @@ import (
 
 	"repro/internal/backends"
 	"repro/internal/config"
-	"repro/internal/network"
 	"repro/internal/nic"
 	"repro/internal/node"
 	"repro/internal/sim"
@@ -65,14 +64,13 @@ func TestFatTreeSpineKillEveryBackendReroutes(t *testing.T) {
 						}
 					}
 				}
-				ft := c.Fabric.(*network.FatTree)
-				if ft.Unrouteable() != 0 {
-					t.Fatalf("unrouteable = %d on a 2-spine fabric", ft.Unrouteable())
+				if c.Fabric.Unrouteable() != 0 {
+					t.Fatalf("unrouteable = %d on a 2-spine fabric", c.Fabric.Unrouteable())
 				}
 				// Non-vacuous: the collective was still running when the
 				// spine died, and traffic kept flowing afterwards.
-				if ft.LastDelivery() <= killAt {
-					t.Fatalf("collective finished at %v, before the %v kill", ft.LastDelivery(), killAt)
+				if c.Fabric.LastDelivery() <= killAt {
+					t.Fatalf("collective finished at %v, before the %v kill", c.Fabric.LastDelivery(), killAt)
 				}
 				c.Audit.Finish(c.Eng.Now(), true)
 				if !c.Audit.Clean() {
@@ -109,8 +107,7 @@ func TestFatTreeOnlyPathKillDiagnosesUnrouteable(t *testing.T) {
 			if !strings.Contains(err.Error(), "unrouteable") {
 				t.Fatalf("diagnosis does not name the unrouteable pairs: %v", err)
 			}
-			ft := c.Fabric.(*network.FatTree)
-			if ft.Unrouteable() == 0 {
+			if c.Fabric.Unrouteable() == 0 {
 				t.Fatal("fabric counted no unrouteable messages")
 			}
 		})
@@ -173,7 +170,7 @@ func TestFatTreeDeterministicReplay(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		o := outcome{dur: res.Duration, out: res.Output[0], drops: c.Fabric.(*network.FatTree).SwitchDrops()}
+		o := outcome{dur: res.Duration, out: res.Output[0], drops: c.Fabric.SwitchDrops()}
 		for _, nd := range c.Nodes {
 			o.retx += nd.NIC.Stats().Retransmits
 		}
@@ -247,7 +244,7 @@ var topoScenarios = []topoScenario{
 			cfg.NIC.Reliability.AdaptiveRTO = true
 		},
 		check: func(t *testing.T, cl *node.Cluster) {
-			if cl.Fabric.(*network.FatTree).ECNMarks() == 0 {
+			if cl.Fabric.ECNMarks() == 0 {
 				t.Fatal("congested run marked nothing")
 			}
 		},

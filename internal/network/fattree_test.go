@@ -21,7 +21,7 @@ func ftCfg() config.NetworkConfig {
 
 func TestFatTreeShape(t *testing.T) {
 	e := sim.NewEngine()
-	f := NewFatTree(e, ftCfg(), 16)
+	f := NewFabric(e, ftCfg(), 16)
 	if f.Leaves() != 4 || f.Pods() != 2 || f.Spines() != 4 || f.Cores() != 2 {
 		t.Fatalf("shape = %d leaves %d pods %d spines %d cores", f.Leaves(), f.Pods(), f.Spines(), f.Cores())
 	}
@@ -50,7 +50,7 @@ func TestFatTreeTierLatencies(t *testing.T) {
 	}
 	for _, tc := range cases {
 		e := sim.NewEngine()
-		f := NewFatTree(e, ftCfg(), 16)
+		f := NewFabric(e, ftCfg(), 16)
 		var arrived sim.Time
 		f.Bind(tc.dst, func(m *Message) { arrived = e.Now() })
 		dst := tc.dst
@@ -62,7 +62,7 @@ func TestFatTreeTierLatencies(t *testing.T) {
 	}
 	// UnloadedLatency models the worst case (cross-pod).
 	e := sim.NewEngine()
-	f := NewFatTree(e, ftCfg(), 16)
+	f := NewFabric(e, ftCfg(), 16)
 	if got, want := f.UnloadedLatency(64), 6*ser+6*l+5*s; got != want {
 		t.Fatalf("UnloadedLatency(64) = %v, want %v", got, want)
 	}
@@ -73,7 +73,7 @@ func TestFatTreeSpineKillReroutes(t *testing.T) {
 	// must reroute through the survivor both times.
 	for kill := 0; kill < 2; kill++ {
 		e := sim.NewEngine()
-		f := NewFatTree(e, ftCfg(), 16)
+		f := NewFabric(e, ftCfg(), 16)
 		delivered := 0
 		f.Bind(5, func(m *Message) { delivered++ })
 		f.KillSwitch(config.SwitchTierSpine, kill)
@@ -90,7 +90,7 @@ func TestFatTreeSpineKillReroutes(t *testing.T) {
 
 func TestFatTreeTrunkKillReroutes(t *testing.T) {
 	e := sim.NewEngine()
-	f := NewFatTree(e, ftCfg(), 16)
+	f := NewFabric(e, ftCfg(), 16)
 	delivered := 0
 	f.Bind(5, func(m *Message) { delivered++ })
 	// Cut leaf0's uplink to spine0: 0->5 must use spine1.
@@ -104,7 +104,7 @@ func TestFatTreeTrunkKillReroutes(t *testing.T) {
 
 func TestFatTreeUnrouteableNamed(t *testing.T) {
 	e := sim.NewEngine()
-	f := NewFatTree(e, ftCfg(), 16)
+	f := NewFabric(e, ftCfg(), 16)
 	delivered := 0
 	f.Bind(5, func(m *Message) { delivered++ })
 	f.Bind(1, func(m *Message) { delivered++ })
@@ -134,7 +134,7 @@ func TestFatTreeUnrouteableNamed(t *testing.T) {
 
 func TestFatTreeDeadLeafUnrouteable(t *testing.T) {
 	e := sim.NewEngine()
-	f := NewFatTree(e, ftCfg(), 16)
+	f := NewFabric(e, ftCfg(), 16)
 	f.Bind(5, func(m *Message) { t.Error("delivered through a dead leaf") })
 	f.KillSwitch(config.SwitchTierLeaf, 1)
 	e.Go("s", func(p *sim.Proc) { f.Send(&Message{Src: 0, Dst: 5, Size: 64}) })
@@ -149,7 +149,7 @@ func TestFatTreeDeadLeafUnrouteable(t *testing.T) {
 
 func TestFatTreeKillRestoreCycle(t *testing.T) {
 	e := sim.NewEngine()
-	f := NewFatTree(e, ftCfg(), 16)
+	f := NewFabric(e, ftCfg(), 16)
 	delivered := 0
 	f.Bind(12, func(m *Message) { delivered++ })
 	// Kill everything 0->12 could use at t=0, restore at 10us, send at 20us.
@@ -177,7 +177,7 @@ func TestFatTreeMidFlightKillDropsAndCounts(t *testing.T) {
 	// dead ports, the message is damaged (never delivered), and the drops
 	// land in SwitchDrops.
 	e := sim.NewEngine()
-	f := NewFatTree(e, ftCfg(), 16)
+	f := NewFabric(e, ftCfg(), 16)
 	delivered := 0
 	f.Bind(5, func(m *Message) { delivered++ })
 	e.Go("s", func(p *sim.Proc) {
@@ -207,7 +207,7 @@ func TestFatTreeCreditsBoundAndECNMarks(t *testing.T) {
 	cfg.FatTree.QueueCredits = 2
 	cfg.FatTree.ECNThreshold = 1
 	e := sim.NewEngine()
-	f := NewFatTree(e, cfg, 16)
+	f := NewFabric(e, cfg, 16)
 	delivered, marked := 0, 0
 	f.Bind(0, func(m *Message) {
 		delivered++
@@ -236,20 +236,20 @@ func TestFatTreeECMPDisjointPairsSpread(t *testing.T) {
 	// Deterministic ECMP: the same pair always picks the same path, and
 	// across many pairs both pod-0 spines carry traffic.
 	e := sim.NewEngine()
-	f := NewFatTree(e, ftCfg(), 16)
+	f := NewFabric(e, ftCfg(), 16)
 	used := map[int]bool{}
 	for src := 0; src < 8; src++ {
 		for dst := 0; dst < 8; dst++ {
-			if src == dst || f.topo.LeafOf(src) == f.topo.LeafOf(dst) {
+			if src == dst || f.leafOf(src) == f.leafOf(dst) {
 				continue
 			}
 			p1, _ := f.pickPath(NodeID(src), NodeID(dst))
 			p2, _ := f.pickPath(NodeID(src), NodeID(dst))
-			if len(p1) != len(p2) || p1[1] != p2[1] {
+			if p1.n != p2.n || p1.hops[1] != p2.hops[1] {
 				t.Fatalf("pickPath(%d,%d) not deterministic", src, dst)
 			}
 			for sl := 0; sl < 2; sl++ {
-				if p1[1] == f.leafUp[f.topo.LeafOf(src)][sl] {
+				if p1.hops[1] == f.leafUp[f.leafOf(src)][sl] {
 					used[sl] = true
 				}
 			}
@@ -264,7 +264,7 @@ func TestFatTreeHopConservationUnderKill(t *testing.T) {
 	// The per-switch hop ledger must balance (in == out + dropped) even
 	// when a spine dies mid-traffic and everything reroutes.
 	e := sim.NewEngine()
-	f := NewFatTree(e, ftCfg(), 16)
+	f := NewFabric(e, ftCfg(), 16)
 	au := audit.New(16)
 	au.RegisterHops(f.SwitchCount())
 	f.SetAuditor(au)
@@ -304,7 +304,7 @@ func TestFatTreeConservationProperty(t *testing.T) {
 		}
 		e := sim.NewEngine()
 		n := rng.Intn(14) + 2
-		fab := NewFatTree(e, cfg, n)
+		fab := NewFabric(e, cfg, n)
 		type pair struct{ s, d NodeID }
 		lastSeen := map[pair]int{}
 		ok := true
@@ -353,8 +353,8 @@ func TestFatTreeValidation(t *testing.T) {
 		}()
 		fn()
 	}
-	mustPanic("zero nodes", func() { NewFatTree(e, ftCfg(), 0) })
-	f := NewFatTree(e, ftCfg(), 16)
+	mustPanic("zero nodes", func() { NewFabric(e, ftCfg(), 0) })
+	f := NewFabric(e, ftCfg(), 16)
 	mustPanic("loopback", func() { f.Send(&Message{Src: 1, Dst: 1, Size: 1}) })
 	mustPanic("range", func() { f.Send(&Message{Src: 0, Dst: 99, Size: 1}) })
 	mustPanic("negative", func() { f.Send(&Message{Src: 0, Dst: 1, Size: -1}) })
@@ -362,4 +362,35 @@ func TestFatTreeValidation(t *testing.T) {
 	mustPanic("bad index", func() { f.KillSwitch(config.SwitchTierSpine, 99) })
 	mustPanic("cross-pod trunk", func() { f.KillTrunk(config.SwitchTierLeaf, 0, config.SwitchTierSpine, 2) })
 	mustPanic("bad trunk tiers", func() { f.KillTrunk(config.SwitchTierLeaf, 0, config.SwitchTierCore, 0) })
+}
+
+// A warmed-up multi-packet Send -> deliver round allocates nothing on the
+// star or on a cross-pod fat-tree route: packets come from the fabric's
+// free list with arrive pre-bound, and each holds its route by value.
+func TestSendDeliverZeroAlloc(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		cfg      config.NetworkConfig
+		src, dst NodeID
+	}{
+		{"star", netCfg(), 0, 1},
+		{"fattree-cross-pod", ftCfg(), 0, 12},
+	} {
+		e := sim.NewEngine()
+		f := NewFabric(e, tc.cfg, 16)
+		delivered := 0
+		f.Bind(tc.dst, func(*Message) { delivered++ })
+		m := &Message{Src: tc.src, Dst: tc.dst, Size: 4 * 4096}
+		round := func() {
+			f.Send(m)
+			e.Run()
+		}
+		round()
+		if allocs := testing.AllocsPerRun(50, round); allocs != 0 {
+			t.Errorf("%s: %v allocs per Send->deliver round, want 0", tc.name, allocs)
+		}
+		if delivered != 52 {
+			t.Errorf("%s: delivered %d messages, want 52", tc.name, delivered)
+		}
+	}
 }

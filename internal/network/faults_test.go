@@ -8,14 +8,18 @@ import (
 	"repro/internal/sim"
 )
 
-// transports builds both fabric topologies with an injector, so every fault
-// behavior is asserted at both fault points.
-func transports(e *sim.Engine, n int, faults config.FaultConfig) map[string]Transport {
+// transports builds the star, tree and fat-tree shapes with an injector,
+// so every fault behavior is asserted on every shape's routes.
+func transports(e *sim.Engine, n int, faults config.FaultConfig) map[string]*Fabric {
+	star := NewFabric(e, netCfg(), n)
 	cfg := netCfg()
-	star := NewFabric(e, cfg, n)
+	cfg.Topology = config.TopologyTree
 	cfg.TreeLeafSize = 2
-	tree := NewTreeFabric(e, cfg, n, 2)
-	m := map[string]Transport{"star": star, "tree": tree}
+	tree := NewFabric(e, cfg, n)
+	cfg.Topology = config.TopologyFatTree
+	cfg.FatTree.LeafSize = 2
+	fatTree := NewFabric(e, cfg, n)
+	m := map[string]*Fabric{"star": star, "tree": tree, "fattree": fatTree}
 	for _, tr := range m {
 		tr.SetInjector(fault.NewInjector(faults))
 	}
@@ -158,7 +162,7 @@ func TestDegradeLatencyFactorStretchesFlightLinearly(t *testing.T) {
 			topo, tr := topo, tr
 			tr.Bind(3, func(m *Message) { out[topo] = e.Now() })
 			e.Go("send."+topo, func(p *sim.Proc) {
-				tr.Send(&Message{Src: 0, Dst: 3, Size: 64}) // cross-leaf on the tree
+				tr.Send(&Message{Src: 0, Dst: 3, Size: 64}) // cross-leaf on the tree and fat-tree
 			})
 		}
 		e.Run()

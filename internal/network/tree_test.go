@@ -5,12 +5,21 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/config"
 	"repro/internal/sim"
 )
 
+// treeCfg returns netCfg with the two-level tree of leaf nodes per leaf.
+func treeCfg(leaf int) config.NetworkConfig {
+	c := netCfg()
+	c.Topology = config.TopologyTree
+	c.TreeLeafSize = leaf
+	return c
+}
+
 func TestTreeSameLeafLatency(t *testing.T) {
 	e := sim.NewEngine()
-	f := NewTreeFabric(e, netCfg(), 8, 4)
+	f := NewFabric(e, treeCfg(4), 8)
 	var arrived sim.Time
 	f.Bind(1, func(m *Message) { arrived = e.Now() })
 	e.Go("s", func(p *sim.Proc) { f.Send(&Message{Src: 0, Dst: 1, Size: 64}) })
@@ -25,7 +34,7 @@ func TestTreeSameLeafLatency(t *testing.T) {
 
 func TestTreeCrossLeafLatency(t *testing.T) {
 	e := sim.NewEngine()
-	f := NewTreeFabric(e, netCfg(), 8, 4)
+	f := NewFabric(e, treeCfg(4), 8)
 	var arrived sim.Time
 	f.Bind(5, func(m *Message) { arrived = e.Now() })
 	e.Go("s", func(p *sim.Proc) { f.Send(&Message{Src: 0, Dst: 5, Size: 64}) })
@@ -42,7 +51,7 @@ func TestTreeCrossLeafLatency(t *testing.T) {
 
 func TestTreeLeafAccessors(t *testing.T) {
 	e := sim.NewEngine()
-	f := NewTreeFabric(e, netCfg(), 10, 4)
+	f := NewFabric(e, treeCfg(4), 10)
 	if f.Leaves() != 3 {
 		t.Fatalf("Leaves = %d", f.Leaves())
 	}
@@ -55,7 +64,7 @@ func TestTreeUplinkOversubscription(t *testing.T) {
 	// All four nodes of leaf 0 blast cross-leaf simultaneously: the shared
 	// uplink serializes them, so the aggregate takes ~4x one transfer.
 	e := sim.NewEngine()
-	f := NewTreeFabric(e, netCfg(), 8, 4)
+	f := NewFabric(e, treeCfg(4), 8)
 	for i := 4; i < 8; i++ {
 		f.Bind(NodeID(i), func(m *Message) {})
 	}
@@ -96,7 +105,7 @@ func TestTreeConservationProperty(t *testing.T) {
 		e := sim.NewEngine()
 		n := rng.Intn(6) + 2
 		leaf := rng.Intn(3) + 1
-		fab := NewTreeFabric(e, netCfg(), n, leaf)
+		fab := NewFabric(e, treeCfg(leaf), n)
 		type pair struct{ s, d NodeID }
 		lastSeen := map[pair]int{}
 		ok := true
@@ -146,9 +155,9 @@ func TestTreeValidation(t *testing.T) {
 		}()
 		fn()
 	}
-	mustPanic("zero nodes", func() { NewTreeFabric(e, netCfg(), 0, 4) })
-	mustPanic("zero leaf", func() { NewTreeFabric(e, netCfg(), 4, 0) })
-	f := NewTreeFabric(e, netCfg(), 4, 2)
+	mustPanic("zero nodes", func() { NewFabric(e, treeCfg(4), 0) })
+	mustPanic("zero leaf", func() { NewFabric(e, treeCfg(0), 4) })
+	f := NewFabric(e, treeCfg(2), 4)
 	mustPanic("loopback", func() { f.Send(&Message{Src: 1, Dst: 1, Size: 1}) })
 	mustPanic("range", func() { f.Send(&Message{Src: 0, Dst: 9, Size: 1}) })
 	mustPanic("negative", func() { f.Send(&Message{Src: 0, Dst: 1, Size: -1}) })

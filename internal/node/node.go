@@ -113,7 +113,7 @@ type Cluster struct {
 	// Eng is the cluster's one event engine; every node runs on it.
 	Eng    *sim.Engine
 	Cfg    config.SystemConfig
-	Fabric network.Transport
+	Fabric *network.Fabric
 	Nodes  []*Node
 	// Injector is the cluster-wide fault injector; nil when cfg.Faults is
 	// zero-valued (the lossless default).
@@ -155,8 +155,8 @@ func (c *Cluster) NextCollectiveGen() int64 {
 // NewCluster builds an n-node cluster from the configuration. The
 // configuration is validated; experiment drivers pass mutated presets.
 // The topology is selected by cfg.Network.Topology: the Table 2 star by
-// default, or a two-level tree with cfg.Network.TreeLeafSize nodes per
-// leaf switch.
+// default, a two-level tree with cfg.Network.TreeLeafSize nodes per leaf
+// switch, or the cfg.Network.FatTree fat-tree — all shapes of one fabric.
 func NewCluster(cfg config.SystemConfig, n int) *Cluster {
 	if err := cfg.Validate(); err != nil {
 		panic(fmt.Sprintf("node: %v", err))
@@ -174,23 +174,11 @@ func NewCluster(cfg config.SystemConfig, n int) *Cluster {
 	}
 	eng := sim.NewEngine()
 
-	var fab network.Transport
-	switch cfg.Network.Topology {
-	case config.TopologyStar, "":
-		fab = network.NewFabric(eng, cfg.Network, n)
-	case config.TopologyTree:
-		fab = network.NewTreeFabric(eng, cfg.Network, n, cfg.Network.TreeLeafSize)
-	case config.TopologyFatTree:
-		fab = network.NewFatTree(eng, cfg.Network, n)
-	default:
-		panic(fmt.Sprintf("node: unknown topology %q", cfg.Network.Topology))
-	}
+	fab := network.NewFabric(eng, cfg.Network, n)
 	inj := fault.NewInjector(cfg.Faults)
 	fab.SetInjector(inj)
 	au := audit.New(n)
-	if ft, ok := fab.(*network.FatTree); ok {
-		au.RegisterHops(ft.SwitchCount())
-	}
+	au.RegisterHops(fab.SwitchCount())
 	fab.SetAuditor(au)
 	c := &Cluster{Eng: eng, Cfg: cfg, Fabric: fab, Injector: inj, Scenario: scen, Audit: au}
 	for i := 0; i < n; i++ {
@@ -229,13 +217,9 @@ func NewCluster(cfg config.SystemConfig, n int) *Cluster {
 		plan.Arm(eng, c.CrashNode, c.RestartNode)
 	}
 	if plan := fault.NewSwitchPlan(cfg.Faults.Switch); plan != nil {
-		ft, ok := fab.(*network.FatTree)
-		if !ok {
-			// Validate() rejects switch events on non-fat-tree topologies.
-			panic("node: switch plan without a fat-tree fabric")
-		}
+		// Validate() rejects switch events on non-fat-tree topologies.
 		c.SwitchPlan = plan
-		plan.Arm(eng, ft.KillSwitch, ft.RestoreSwitch, ft.KillTrunk, ft.RestoreTrunk)
+		plan.Arm(eng, fab.KillSwitch, fab.RestoreSwitch, fab.KillTrunk, fab.RestoreTrunk)
 	}
 	return c
 }
@@ -277,9 +261,13 @@ func (c *Cluster) RestartNode(i int) {
 // Size returns the number of nodes.
 func (c *Cluster) Size() int { return len(c.Nodes) }
 
-// Run drives the simulation until the event queue drains.
+// Run drives the simulation until the event queue drains. The fabric's
+// packet free list is dropped when it returns: a finished cluster stays
+// reachable through its parked proc goroutines, so a list kept past the
+// run would be kept once per cluster ever built.
 func (c *Cluster) Run() {
 	c.Eng.Run()
+	c.Fabric.ReleasePool()
 	c.quiescent = true
 }
 
@@ -326,9 +314,8 @@ func (c *Cluster) Diagnose() *sim.HangError {
 	if he != nil {
 		he.Crashed = crashed
 		he.Partitions = c.unhealedPartitions()
-		if ft, ok := c.Fabric.(*network.FatTree); ok && ft.Unrouteable() > 0 {
-			total := ft.Unrouteable()
-			for _, s := range ft.UnroutedSamples() {
+		if total := c.Fabric.Unrouteable(); total > 0 {
+			for _, s := range c.Fabric.UnroutedSamples() {
 				he.Unrouteable = append(he.Unrouteable, sim.Unrouteable{
 					Src: int(s.Src), Dst: int(s.Dst), At: s.At, Reason: s.Reason, Drops: total,
 				})
@@ -432,9 +419,9 @@ func (c *Cluster) StatsReport() string {
 	if c.SwitchPlan != nil {
 		fmt.Fprintf(&b, "%s\n", c.SwitchPlan.Summary())
 	}
-	if ft, ok := c.Fabric.(*network.FatTree); ok {
+	if c.Cfg.Network.Topology == config.TopologyFatTree {
 		fmt.Fprintf(&b, "fattree: switchDrops=%d ecnMarks=%d unrouteable=%d\n",
-			ft.SwitchDrops(), ft.ECNMarks(), ft.Unrouteable())
+			c.Fabric.SwitchDrops(), c.Fabric.ECNMarks(), c.Fabric.Unrouteable())
 	}
 	if c.Injector != nil {
 		fs := c.Injector.Stats()

@@ -217,6 +217,30 @@ func TestTreeTopologyCluster(t *testing.T) {
 	}
 }
 
+// The fabric's packet free list does not outlive Cluster.Run: a finished
+// cluster stays reachable through its parked procs, so a kept list would
+// be held once per cluster ever built.
+func TestRunReleasesPacketPool(t *testing.T) {
+	c := NewCluster(config.Default(), 2)
+	n0, n1 := c.Nodes[0], c.Nodes[1]
+	ct := n1.Ptl.CTAlloc()
+	n1.Ptl.MEAppend(&portals.ME{MatchBits: 0x1, Length: 1 << 20, CT: ct})
+	pooled := 0
+	c.Eng.Go("h", func(p *sim.Proc) {
+		md := n0.Ptl.MDBind("b", 64<<10, nil, nil)
+		n0.Ptl.Put(p, md, 64<<10, 1, 0x1)
+		ct.Wait(p, 1)
+		pooled = c.Fabric.PooledPackets()
+	})
+	c.Run()
+	if pooled == 0 {
+		t.Fatal("no packets were pooled during the run (vacuous)")
+	}
+	if got := c.Fabric.PooledPackets(); got != 0 {
+		t.Fatalf("fabric holds %d pooled packets after Run", got)
+	}
+}
+
 func TestUnknownTopologyRejected(t *testing.T) {
 	cfg := config.Default()
 	cfg.Network.Topology = "mesh"
