@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/audit"
+	"repro/internal/backends"
 	"repro/internal/config"
 )
 
@@ -39,6 +40,12 @@ func TestEveryExperimentAuditClean(t *testing.T) {
 		{"partitions", func(t *testing.T) { RenderPartitions(cfg) }},
 		{"sdc", func(t *testing.T) { RenderSDC(cfg) }},
 		{"stragglers", func(t *testing.T) { RenderStragglers(cfg) }},
+		{"sensitivity", func(t *testing.T) { Sensitivity(cfg, backends.HDN, backends.GDS) }},
+		{"mlscale", func(t *testing.T) {
+			if _, err := RenderMLScale(cfg); err != nil {
+				t.Fatal(err)
+			}
+		}},
 		{"chaossearch", func(t *testing.T) { RenderChaosSearch(cfg, ChaosConfig{Seed: 42, Trials: 1}) }},
 		{"fattree-incast", func(t *testing.T) { AblationFatTreeIncast(cfg, 16, 64<<10) }},
 		{"perf", func(t *testing.T) {
@@ -46,6 +53,15 @@ func TestEveryExperimentAuditClean(t *testing.T) {
 				t.Fatal(err)
 			}
 		}},
+	}
+	ran := map[string]bool{}
+	for _, e := range exps {
+		ran[e.name] = true
+	}
+	for _, e := range Experiments {
+		if !ran[e.Name] {
+			t.Errorf("experiment %s is in the registry but not audited here", e.Name)
+		}
 	}
 	for _, e := range exps {
 		e := e

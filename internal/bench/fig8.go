@@ -68,7 +68,17 @@ func (r *Fig8Result) SpeedupVs(base backends.Kind) float64 {
 // on the initiator copies one cache line and sends 64 B to the target,
 // under HDN, GDS, and GPU-TN.
 func Figure8(cfg config.SystemConfig) *Fig8Result {
-	kinds := []backends.Kind{backends.HDN, backends.GDS, backends.GPUTN}
+	return figure8Kinds(cfg, backends.HDN, backends.GDS, backends.GPUTN)
+}
+
+// Figure8Extended additionally measures the GPU Host Networking and GPU
+// Native Networking models, making the paper's qualitative §5.1.1
+// comparison quantitative.
+func Figure8Extended(cfg config.SystemConfig) *Fig8Result {
+	return figure8Kinds(cfg, backends.HDN, backends.GDS, backends.GPUTN, backends.GHN, backends.GNN)
+}
+
+func figure8Kinds(cfg config.SystemConfig, kinds ...backends.Kind) *Fig8Result {
 	runs := parallelMap(len(kinds), func(i int) *Fig8Run { return figure8Run(cfg, kinds[i]) })
 	res := &Fig8Result{Runs: map[backends.Kind]*Fig8Run{}}
 	for i, kind := range kinds {
@@ -77,17 +87,60 @@ func Figure8(cfg config.SystemConfig) *Fig8Result {
 	return res
 }
 
-// Figure8Extended additionally measures the GPU Host Networking and GPU
-// Native Networking models, making the paper's qualitative §5.1.1
-// comparison quantitative.
-func Figure8Extended(cfg config.SystemConfig) *Fig8Result {
-	kinds := []backends.Kind{backends.HDN, backends.GDS, backends.GPUTN, backends.GHN, backends.GNN}
-	runs := parallelMap(len(kinds), func(i int) *Fig8Run { return figure8Run(cfg, kinds[i]) })
-	res := &Fig8Result{Runs: map[backends.Kind]*Fig8Run{}}
-	for i, kind := range kinds {
-		res.Runs[kind] = runs[i]
+// SensitivityScales multiply the GPU kernel launch and teardown overheads
+// (the Figure 1 range); SensitivityRates are network bandwidths in Gbps
+// (fabric generations).
+var (
+	SensitivityScales = []float64{0.5, 1, 2, 4}
+	SensitivityRates  = []float64{10, 25, 100, 400}
+)
+
+// Sensitivity runs the Figure 8 microbenchmark over SensitivityScales x
+// SensitivityRates and returns, per baseline in bases, GPU-TN's end-to-end
+// latency reduction versus that baseline (%): one series per overhead
+// scale, X = bandwidth. It maps out where intra-kernel triggering matters
+// most.
+func Sensitivity(cfg config.SystemConfig, bases ...backends.Kind) [][]*stats.Series {
+	nr := len(SensitivityRates)
+	cells := parallelMap(len(SensitivityScales)*nr, func(i int) *Fig8Result {
+		c := cfg
+		scale := SensitivityScales[i/nr]
+		c.GPU.KernelLaunch = sim.Time(float64(c.GPU.KernelLaunch) * scale)
+		c.GPU.KernelTeardown = sim.Time(float64(c.GPU.KernelTeardown) * scale)
+		c.Network.BandwidthGbps = SensitivityRates[i%nr]
+		return Figure8(c)
+	})
+	out := make([][]*stats.Series, len(bases))
+	for bi, base := range bases {
+		for si, scale := range SensitivityScales {
+			s := &stats.Series{Name: fmt.Sprintf("x%.1f", scale)}
+			for ri, rate := range SensitivityRates {
+				s.Add(rate, (1-1/cells[si*nr+ri].SpeedupVs(base))*100)
+			}
+			out[bi] = append(out[bi], s)
+		}
 	}
-	return res
+	return out
+}
+
+// RenderSensitivity formats one baseline's Sensitivity series as a
+// scale x bandwidth table.
+func RenderSensitivity(base backends.Kind, series []*stats.Series) string {
+	tbl := stats.Table{
+		Title:   fmt.Sprintf("GPU-TN latency reduction vs %s (%%), kernel-overhead scale x bandwidth", base),
+		Headers: []string{"overhead\\Gbps"},
+	}
+	for _, r := range SensitivityRates {
+		tbl.Headers = append(tbl.Headers, fmt.Sprintf("%.0f", r))
+	}
+	for _, s := range series {
+		row := []string{s.Name}
+		for _, p := range s.Points {
+			row = append(row, fmt.Sprintf("%.1f", p.Y))
+		}
+		tbl.AddRow(row...)
+	}
+	return tbl.String()
 }
 
 // RenderFigure8Extended summarizes the five-way comparison.

@@ -182,6 +182,58 @@ func RenderFigure11(results []mlearn.StudyResult) string {
 	return tbl.String()
 }
 
+// MLScaleNodes are the cluster sizes of the Figure 11 scaling extension.
+var MLScaleNodes = []int{2, 4, 8, 16, 32}
+
+// mlScaleRow is one workload's result in RenderMLScale.
+type mlScaleRow struct {
+	sweep               map[int]float64
+	measured, projected float64
+	err                 error
+}
+
+// RenderMLScale runs the two Figure 11 extensions: GPU-TN's projected
+// speedup vs HDN across MLScaleNodes, and the in-sim synchronous-SGD
+// training loop on Fig11Nodes checked against the closed-form projection.
+func RenderMLScale(cfg config.SystemConfig) (string, error) {
+	workloads := mlearn.Table3()
+	rows := parallelMap(len(workloads), func(i int) mlScaleRow {
+		w := workloads[i]
+		sweep, err := mlearn.SweepNodes(cfg, w, MLScaleNodes)
+		if err != nil {
+			return mlScaleRow{err: err}
+		}
+		times, err := mlearn.AllreduceTimes(cfg, Fig11Nodes, w.AvgMsgBytes)
+		if err != nil {
+			return mlScaleRow{err: err}
+		}
+		trace := mlearn.GenerateTrace(w, 6, times[backends.HDN], 1)
+		measured, err := mlearn.TrainingSpeedups(cfg, Fig11Nodes, trace, w.AvgMsgBytes)
+		if err != nil {
+			return mlScaleRow{err: err}
+		}
+		return mlScaleRow{sweep: sweep, measured: measured[backends.GPUTN],
+			projected: mlearn.Project(w, times)[backends.GPUTN]}
+	})
+	var b strings.Builder
+	b.WriteString("Extension: projected GPU-TN speedup vs HDN across cluster sizes\n")
+	for i, r := range rows {
+		if r.err != nil {
+			return "", fmt.Errorf("mlscale: %w", r.err)
+		}
+		fmt.Fprintf(&b, "%-13s", workloads[i].Name)
+		for _, n := range MLScaleNodes {
+			fmt.Fprintf(&b, "  %d:%.3f", n, r.sweep[n])
+		}
+		b.WriteString("\n")
+	}
+	fmt.Fprintf(&b, "\nExtension: in-sim synchronous-SGD training loop (%d nodes), measured vs projected\n", Fig11Nodes)
+	for i, r := range rows {
+		fmt.Fprintf(&b, "%-13s GPU-TN measured %.3f / projected %.3f\n", workloads[i].Name, r.measured, r.projected)
+	}
+	return b.String(), nil
+}
+
 // RenderTable3 reproduces Table 3.
 func RenderTable3() string {
 	tbl := stats.Table{

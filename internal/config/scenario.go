@@ -31,7 +31,8 @@ const (
 	ScenarioCut = "cut"
 	// ScenarioGray degrades every link into and out of the domain during
 	// [At, At+Heal): flight latency times LatencyFactor, packet loss with
-	// probability LossProb.
+	// probability LossProb. Asymmetric degrades only the domain's outbound
+	// direction.
 	ScenarioGray = "gray"
 	// ScenarioSlow makes the domain's nodes fail-slow during [At,
 	// At+Heal): GPU compute, NIC command parse, and DMA stretch by
@@ -91,7 +92,8 @@ type ScenarioEvent struct {
 	LossProb      float64
 	// GPUFactor, CmdFactor, DMAFactor parameterize slow windows.
 	GPUFactor, CmdFactor, DMAFactor float64
-	// Asymmetric makes a cut one-directional (domain outbound only).
+	// Asymmetric makes a cut or gray event one-directional (domain
+	// outbound only).
 	Asymmetric bool
 }
 
@@ -203,11 +205,23 @@ func (s ScenarioConfig) validate() error {
 		default:
 			return fmt.Errorf("config: Scenario.Events[%d] unknown kind %q", i, ev.Kind)
 		}
-		if ev.Asymmetric && ev.Kind != ScenarioCut {
-			return fmt.Errorf("config: Scenario.Events[%d]: Asymmetric applies to cut only", i)
+		if ev.Asymmetric && ev.Kind != ScenarioCut && ev.Kind != ScenarioGray {
+			return fmt.Errorf("config: Scenario.Events[%d]: Asymmetric applies to gray and cut only", i)
 		}
 	}
 	return nil
+}
+
+// Crashes reports whether the scenario crash-stops nodes (a crash, rackfail
+// or podfail event), which needs the health suite to detect it.
+func (s ScenarioConfig) Crashes() bool {
+	for _, ev := range s.Events {
+		switch ev.Kind {
+		case ScenarioCrash, ScenarioRackFail, ScenarioPodFail:
+			return true
+		}
+	}
+	return false
 }
 
 // DomainNodes returns the sorted node list of the named domain (nil when
@@ -221,20 +235,6 @@ func (s ScenarioConfig) DomainNodes(name string) []int {
 		}
 	}
 	return nil
-}
-
-// MaxNode returns the highest node index any domain references (-1 when
-// there are none), so callers can check the scenario fits the cluster.
-func (s ScenarioConfig) MaxNode() int {
-	max := -1
-	for _, d := range s.Domains {
-		for _, n := range d.Nodes {
-			if n > max {
-				max = n
-			}
-		}
-	}
-	return max
 }
 
 // --- Flag-text round trip -------------------------------------------------

@@ -97,9 +97,6 @@ func TestScenarioZeroValueDisabled(t *testing.T) {
 	if sc.Enabled() {
 		t.Error("zero scenario Enabled")
 	}
-	if sc.MaxNode() != -1 {
-		t.Errorf("MaxNode() = %d, want -1", sc.MaxNode())
-	}
 	cfg := Default()
 	if err := cfg.Validate(); err != nil {
 		t.Errorf("default config with zero scenario rejected: %v", err)
@@ -113,9 +110,6 @@ func TestScenarioDomainNodesSorted(t *testing.T) {
 	}
 	if got := sc.DomainNodes("missing"); got != nil {
 		t.Errorf("DomainNodes(missing) = %v", got)
-	}
-	if got := sc.MaxNode(); got != 3 {
-		t.Errorf("MaxNode() = %d", got)
 	}
 }
 
@@ -203,6 +197,7 @@ func FuzzScenarioRoundTrip(f *testing.F) {
 	f.Add("rackfail:rack0@70us,heal=60us,jitter=10us;gray:rack1@30us,heal=100us,lat=10,loss=0.05")
 	f.Add("crash:pair@1us,heal=1ps")
 	f.Add("cut:rack1@30us,heal=40us,asym;slow:rack1@5us,heal=50us,gpu=8,cmd=2,dma=4")
+	f.Add("gray:n2@1us,heal=4999us,lat=10,loss=0.05,asym")
 	f.Add("switchfail:spine1@70us,heal=60us;podfail:pod0@70us,heal=60us,jitter=10us")
 	f.Add("switchfail:leaf0@5us;switchfail:core2@1ms,heal=2ms")
 	f.Fuzz(func(t *testing.T, text string) {

@@ -50,9 +50,6 @@ func ApplyScenario(cfg *config.SystemConfig, n int) (*Scenario, error) {
 	if !sc.Enabled() {
 		return nil, nil
 	}
-	if max := sc.MaxNode(); max >= n {
-		return nil, fmt.Errorf("fault: scenario references node %d but the cluster has %d nodes", max, n)
-	}
 	s := &Scenario{cfg: sc}
 	// The jitter stream is private to the scenario: created lazily so a
 	// jitter-free scenario draws nothing, and advanced in deterministic
@@ -68,7 +65,16 @@ func ApplyScenario(cfg *config.SystemConfig, n int) (*Scenario, error) {
 		return sim.Time(rng.Int63n(int64(span) + 1))
 	}
 	for _, ev := range sc.Events {
+		// Domain nodes the cluster lacks are ignored, so one scenario can
+		// ride a sweep over cluster sizes (fig10 runs 2 to 32 nodes); a node
+		// event left with no node compiles to nothing.
 		nodes := sc.DomainNodes(ev.Domain)
+		for len(nodes) > 0 && nodes[len(nodes)-1] >= n {
+			nodes = nodes[:len(nodes)-1]
+		}
+		if len(nodes) == 0 && ev.Kind != config.ScenarioSwitchFail && ev.Kind != config.ScenarioPodFail {
+			continue
+		}
 		switch ev.Kind {
 		case config.ScenarioCrash, config.ScenarioRackFail:
 			for _, node := range nodes {
@@ -97,10 +103,14 @@ func ApplyScenario(cfg *config.SystemConfig, n int) (*Scenario, error) {
 					Src: node, Dst: -1, From: ev.At, Until: ev.At + ev.Heal,
 					LatencyFactor: ev.LatencyFactor, LossProb: ev.LossProb,
 				}
-				in := out
-				in.Src, in.Dst = -1, node
-				cfg.Faults.Degrade.Windows = append(cfg.Faults.Degrade.Windows, out, in)
-				s.grays += 2
+				cfg.Faults.Degrade.Windows = append(cfg.Faults.Degrade.Windows, out)
+				s.grays++
+				if !ev.Asymmetric {
+					in := out
+					in.Src, in.Dst = -1, node
+					cfg.Faults.Degrade.Windows = append(cfg.Faults.Degrade.Windows, in)
+					s.grays++
+				}
 			}
 		case config.ScenarioSlow:
 			for _, node := range nodes {

@@ -23,14 +23,30 @@ func TestApplyScenarioZeroValueUntouched(t *testing.T) {
 	}
 }
 
-func TestApplyScenarioTooSmallCluster(t *testing.T) {
+// Domain nodes beyond the cluster are dropped, and an event whose domain
+// has no node in the cluster compiles to nothing, so one scenario runs on
+// every cell of a sweep over cluster sizes.
+func TestApplyScenarioClipsDomainsToCluster(t *testing.T) {
 	cfg := config.Default()
 	cfg.Scenario = config.ScenarioConfig{
-		Domains: []config.ScenarioDomain{{Name: "d", Nodes: []int{0, 7}}},
-		Events:  []config.ScenarioEvent{{Kind: config.ScenarioCut, Domain: "d", At: sim.Microsecond}},
+		Domains: []config.ScenarioDomain{{Name: "d", Nodes: []int{0, 7}}, {Name: "far", Nodes: []int{5, 6}}},
+		Events: []config.ScenarioEvent{
+			{Kind: config.ScenarioCut, Domain: "d", At: sim.Microsecond},
+			{Kind: config.ScenarioCrash, Domain: "far", At: sim.Microsecond, Heal: sim.Microsecond},
+		},
 	}
-	if _, err := ApplyScenario(&cfg, 4); err == nil {
-		t.Error("scenario referencing node 7 accepted on a 4-node cluster")
+	s, err := ApplyScenario(&cfg, 4)
+	if err != nil {
+		t.Fatalf("ApplyScenario: %v", err)
+	}
+	if cuts := cfg.Faults.Partition.Events; len(cuts) != 1 || !reflect.DeepEqual(cuts[0].A, []int{0}) {
+		t.Errorf("partition events = %+v, want one cut of [0]", cuts)
+	}
+	if len(cfg.Crash.Events) != 0 {
+		t.Errorf("crash events = %+v, want none (domain far is outside the cluster)", cfg.Crash.Events)
+	}
+	if got := s.Summary(); got != "scenario: domains=2 events=2 cuts=1" {
+		t.Errorf("Summary() = %q", got)
 	}
 }
 
@@ -162,6 +178,40 @@ func TestApplyScenarioGraySlowCut(t *testing.T) {
 	}
 	if !reflect.DeepEqual(s.Config(), cfg.Scenario) {
 		t.Error("Config() does not return the source scenario")
+	}
+}
+
+// Asymmetric gray degrades only the domain's outbound links: one
+// Src=node, Dst=-1 window per node, where symmetric gray adds the inbound
+// Src=-1, Dst=node window too.
+func TestApplyScenarioGrayAsymmetric(t *testing.T) {
+	for _, asym := range []bool{true, false} {
+		cfg := config.Default()
+		cfg.Scenario = config.ScenarioConfig{
+			Domains: []config.ScenarioDomain{{Name: "pair", Nodes: []int{5, 2}}},
+			Events: []config.ScenarioEvent{{Kind: config.ScenarioGray, Domain: "pair", At: sim.Microsecond,
+				Heal: 4999 * sim.Microsecond, LatencyFactor: 10, LossProb: 0.05, Asymmetric: asym}},
+		}
+		if err := cfg.Validate(); err != nil {
+			t.Fatalf("asym=%v: Validate: %v", asym, err)
+		}
+		if _, err := ApplyScenario(&cfg, 8); err != nil {
+			t.Fatalf("asym=%v: ApplyScenario: %v", asym, err)
+		}
+		var want []config.DegradeWindow
+		for _, node := range []int{2, 5} {
+			out := config.DegradeWindow{Src: node, Dst: -1, From: sim.Microsecond, Until: 5000 * sim.Microsecond,
+				LatencyFactor: 10, LossProb: 0.05}
+			want = append(want, out)
+			if !asym {
+				in := out
+				in.Src, in.Dst = -1, node
+				want = append(want, in)
+			}
+		}
+		if !reflect.DeepEqual(cfg.Faults.Degrade.Windows, want) {
+			t.Errorf("asym=%v: degrade windows = %+v, want %+v", asym, cfg.Faults.Degrade.Windows, want)
+		}
 	}
 }
 

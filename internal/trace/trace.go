@@ -6,7 +6,6 @@ package trace
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"repro/internal/sim"
 )
@@ -156,29 +155,4 @@ func (t *Tracer) FirstMark(actor, label string) (Mark, bool) {
 		}
 	}
 	return Mark{}, false
-}
-
-// Render returns a human-readable per-actor timeline, one line per span,
-// e.g.:
-//
-//	initiator  [   0ns ..  1.5us ] Kernel Launch
-func (t *Tracer) Render() string {
-	var b strings.Builder
-	actors := map[string]bool{}
-	for _, s := range t.Spans() {
-		actors[s.Actor] = true
-	}
-	names := make([]string, 0, len(actors))
-	for a := range actors {
-		names = append(names, a)
-	}
-	sort.Strings(names)
-	for _, a := range names {
-		fmt.Fprintf(&b, "%s:\n", a)
-		for _, s := range t.ByActor(a) {
-			fmt.Fprintf(&b, "  [%10s .. %10s] %-18s (%s)\n",
-				s.Start, s.End, s.Label, s.Duration())
-		}
-	}
-	return b.String()
 }

@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"strings"
 	"testing"
 
 	"repro/internal/sim"
@@ -119,15 +118,5 @@ func TestByActorSortedAndTotals(t *testing.T) {
 	totals := tr.TotalByLabel()
 	if totals["a"]["x"] != 25 || totals["a"]["y"] != 5 || totals["b"]["w"] != 20 {
 		t.Fatalf("totals = %v", totals)
-	}
-}
-
-func TestRender(t *testing.T) {
-	e := sim.NewEngine()
-	tr := New(e)
-	tr.Record("initiator", "Kernel Launch", 0, 1500*sim.Nanosecond)
-	out := tr.Render()
-	if !strings.Contains(out, "initiator:") || !strings.Contains(out, "Kernel Launch") {
-		t.Fatalf("render missing content: %q", out)
 	}
 }
