@@ -73,9 +73,12 @@ test:
 vet:
 	$(GO) vet ./...
 
-## lint: vet plus staticcheck at a pinned version. Fetches the tool, so it
-## needs network — CI runs it; local `make check` stays offline-friendly.
+## lint: gofmt (fails on any file it would rewrite), vet, and staticcheck
+## at a pinned version. Fetches staticcheck, so it needs network — CI runs
+## it; local `make check` stays offline-friendly.
 lint:
+	@unformatted=$$(gofmt -l ./cmd ./internal ./examples); \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) run honnef.co/go/tools/cmd/staticcheck@$(STATICCHECK_VERSION) ./...
 

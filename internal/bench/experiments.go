@@ -14,14 +14,14 @@ type Experiment struct {
 // -list, the -exp help, -exp all, -exp figures and its unknown-experiment
 // error from it, and TestEveryExperimentAuditClean runs each entry.
 var Experiments = []Experiment{
-	{"table1", "simulated platform parameters (paper Table 1)", true},
-	{"table2", "communication-primitive microbenchmark latencies (paper Table 2)", true},
-	{"table3", "triggered-op API coverage summary (paper Table 3)", true},
+	{"table1", "qualitative comparison of GPU networking strategies (paper Table 1)", true},
+	{"table2", "simulated system configuration: CPU, GPU, network and NIC (paper Table 2)", true},
+	{"table3", "CNTK training workloads: domain, blocked time, reductions, message size (paper Table 3)", true},
 	{"fig1", "kernel launch latency vs queued kernel commands (paper Fig. 1)", true},
-	{"fig8", "Allreduce latency across backends and payload sizes (paper Fig. 8)", true},
+	{"fig8", "2-node put latency decomposition per backend, plus GHN and GNN (paper Fig. 8)", true},
 	{"fig9", "Jacobi per-iteration speedup vs HDN on a 2x2 grid (paper Fig. 9)", true},
 	{"fig10", "8MB Allreduce strong-scaling speedup vs CPU (paper Fig. 10)", true},
-	{"fig11", "machine-learning training step breakdown (paper Fig. 11)", true},
+	{"fig11", "projected CNTK training speedup vs HDN on 8 nodes (paper Fig. 11)", true},
 	{"ablations", "mechanism ablations: relaxed sync, granularity, topology, pipelining, ...", true},
 	{"faults", "Allreduce latency under packet loss with reliable delivery", true},
 	{"resources", "NIC resource-pressure sweep (bounded trigger lists and queues)", true},

@@ -289,8 +289,11 @@ func (st *rankState) applyChunk(msg chunkMsg) {
 }
 
 // Run executes one Allreduce on the cluster and drives the simulation to
-// completion. The cluster must be freshly constructed (time zero).
+// completion. The cluster must be freshly constructed (time zero); Run
+// closes it before returning, after any hang diagnosis, so its counters
+// stay readable but it cannot be driven again.
 func Run(c *node.Cluster, cfg Config) (Result, error) {
+	defer c.Close()
 	n := c.Size()
 	if n < 2 {
 		return Result{}, fmt.Errorf("collective: allreduce needs >= 2 nodes")

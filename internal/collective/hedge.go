@@ -228,4 +228,3 @@ func (h *hedgeRun) effectiveKind(k backends.Kind) backends.Kind {
 	}
 	return k
 }
-

@@ -262,14 +262,22 @@ func (c *Cluster) RestartNode(i int) {
 func (c *Cluster) Size() int { return len(c.Nodes) }
 
 // Run drives the simulation until the event queue drains. The fabric's
-// packet free list is dropped when it returns: a finished cluster stays
-// reachable through its parked proc goroutines, so a list kept past the
-// run would be kept once per cluster ever built.
+// packet free list is dropped when it returns: until Close, a finished
+// cluster stays reachable through its parked procs' coroutines, so a list
+// kept past the run would be kept once per unclosed cluster.
 func (c *Cluster) Run() {
 	c.Eng.Run()
 	c.Fabric.ReleasePool()
 	c.quiescent = true
 }
+
+// Close ends every process still parked on the cluster's engine (NIC and
+// GPU service loops, ranks stranded by a hang), running their deferred
+// cleanup and exit callbacks, and releases their coroutines, so the
+// cluster leaves no goroutine behind and can be collected. Counters and
+// results stay readable; the cluster must not be driven again. Diagnose
+// reads parked processes, so call it before Close.
+func (c *Cluster) Close() { c.Eng.Close() }
 
 // RunUntil drives the simulation to the deadline. Messages legitimately
 // stranded in flight at the cutoff exempt the run from the auditor's full

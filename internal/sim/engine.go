@@ -92,10 +92,11 @@ func (ev Event) Cancelled() bool {
 }
 
 // Engine is a deterministic discrete-event simulator. It is not safe for
-// concurrent use; all model code runs on the engine's goroutine (process
-// goroutines are strictly hand-off scheduled, so at most one piece of model
-// code executes at any instant). Independent engines are fully isolated, so
-// separate replicas may run on separate OS threads.
+// concurrent use; all model code runs on the engine's goroutine or on a
+// process coroutine the engine has switched to (switches are strictly
+// hand-off, so at most one piece of model code executes at any instant).
+// Independent engines are fully isolated, so separate replicas may run on
+// separate OS threads.
 type Engine struct {
 	now Time
 	// seq counts schedule calls; it breaks same-time ties in arrival order.
@@ -117,11 +118,15 @@ type Engine struct {
 	nowq     []int32
 	nowqHead int
 
-	// process bookkeeping
-	parked  chan procYield
-	nprocs  int
-	procs   []*Proc
-	stopped bool
+	// process bookkeeping: procs lists spawned processes in spawn order
+	// (dead ones are dropped once they outnumber the live), ndead counts
+	// the dead among them, and idle is the pool of coroutines waiting for
+	// a process. procPanic carries a model panic out of a coroutine.
+	procs     []*Proc
+	ndead     int
+	idle      []*coro
+	procPanic any
+	stopped   bool
 
 	// Trace, when non-nil, receives a line per executed labeled event. Used
 	// by determinism tests.
@@ -130,7 +135,7 @@ type Engine struct {
 
 // NewEngine returns an empty engine at time zero.
 func NewEngine() *Engine {
-	return &Engine{parked: make(chan procYield)}
+	return &Engine{}
 }
 
 // Now returns the current simulation time.
@@ -279,13 +284,38 @@ func (e *Engine) step() bool {
 	return true
 }
 
-// Run executes events until the queue drains or Stop is called.
+// Run executes events until the queue drains or Stop is called. On return
+// the idle process coroutines are stopped, so a finished simulation keeps
+// no spare goroutine stacks; processes still parked keep theirs until
+// Close.
 func (e *Engine) Run() {
+	defer e.releaseIdle()
 	e.stopped = false
 	start := e.executed
 	for !e.stopped && e.step() {
 	}
 	totalExecuted.Add(e.executed - start)
+}
+
+// Close ends every live process: each is condemned as by Kill and resumed
+// once, right here rather than from the event loop, so it unwinds through
+// its deferred calls and exit callbacks before Close returns. Processes
+// those callbacks spawn are ended the same way. The idle coroutines are
+// then stopped, so the engine holds no goroutine afterwards. Events still
+// queued stay queued; the engine must not be run again.
+func (e *Engine) Close() {
+	for len(e.procs) > 0 {
+		procs := e.procs
+		e.procs = nil
+		for _, p := range procs {
+			p.killed = true
+			for !p.dead {
+				e.dispatch(p)
+			}
+		}
+	}
+	e.ndead = 0
+	e.releaseIdle()
 }
 
 // RunUntil executes events with time ≤ deadline, leaving later events

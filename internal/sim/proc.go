@@ -1,19 +1,8 @@
 package sim
 
-import (
-	"fmt"
-	"runtime"
-)
+import "fmt"
 
-// procYield is the message a process goroutine sends back to the engine
-// when it parks (blocks) or terminates.
-type procYield struct {
-	p        *Proc
-	done     bool
-	panicked any
-}
-
-// Proc is a simulated process: a goroutine whose execution is strictly
+// Proc is a simulated process: a coroutine whose execution is strictly
 // interleaved with the event loop. At most one process (or event callback)
 // runs at a time, so model code needs no locking and behaves
 // deterministically.
@@ -22,10 +11,13 @@ type procYield struct {
 // Signal.Wait, Queue.Pop, ...). While parked it consumes no simulated time
 // beyond what the wakeup condition implies.
 type Proc struct {
-	eng    *Engine
-	name   string
-	resume chan struct{}
-	dead   bool
+	eng  *Engine
+	name string
+	fn   func(p *Proc)
+	// co is the pooled coroutine running the body, bound at the first
+	// dispatch and released when the body ends.
+	co   *coro
+	dead bool
 	// killed marks a process condemned by Engine.Kill; it exits at its
 	// next resume instead of running model code.
 	killed bool
@@ -40,12 +32,18 @@ type Proc struct {
 	// park fast path allocates nothing.
 	waiting *waitState
 	waitBuf waitState
-	// onExit callbacks run when the goroutine terminates for any reason —
+	// onExit callbacks run when the process terminates for any reason —
 	// normal return, panic, or a Kill that lands before the body ever ran
 	// (when function-level defers do not exist yet). Join counting uses
 	// this to stay accurate across crashes.
 	onExit []func()
 }
+
+// procKilled is the panic value park raises in a killed process. The
+// process wrapper recovers it as a normal exit; unwinding runs the body's
+// deferred calls on the way. Model code never calls recover, so nothing
+// in between swallows it.
+type procKilled struct{}
 
 // Name returns the label given at spawn time.
 func (p *Proc) Name() string { return p.name }
@@ -63,42 +61,63 @@ func (p *Proc) Now() Time { return p.eng.Now() }
 // Go spawns a process. fn starts executing at the current simulation time,
 // after already-queued events at this time have run.
 func (e *Engine) Go(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{
-		eng:    e,
-		name:   name,
-		resume: make(chan struct{}),
-	}
-	e.nprocs++
-	e.procs = append(e.procs, p)
-	go func() {
-		var panicked any
-		// The termination yield is sent from a goroutine-level defer so it
-		// also runs when a killed process unwinds via runtime.Goexit.
-		defer func() {
-			p.dead = true
-			// The engine is still blocked waiting for this goroutine's
-			// yield, so onExit callbacks run under the same single-threaded
-			// discipline as model code.
-			for _, fn := range p.onExit {
-				fn()
-			}
-			e.parked <- procYield{p: p, done: true, panicked: panicked}
-		}()
-		<-p.resume // wait for the first dispatch
-		if p.killed {
-			return
-		}
-		func() {
-			defer func() { panicked = recover() }()
-			fn(p)
-		}()
-	}()
+	p := &Proc{eng: e, name: name, fn: fn}
+	e.addProc(p)
 	startLabel := ""
 	if e.Trace != nil {
 		startLabel = "start:" + name
 	}
 	e.scheduleProc(e.now, startLabel, p)
 	return p
+}
+
+// addProc records a spawned process, first dropping dead entries in place
+// once they outnumber live ones. Spawn order is kept, so diagnoses list
+// blocked processes in the same order either way.
+func (e *Engine) addProc(p *Proc) {
+	if e.ndead > 32 && 2*e.ndead > len(e.procs) {
+		keep := e.procs[:0]
+		for _, q := range e.procs {
+			if !q.dead {
+				keep = append(keep, q)
+			}
+		}
+		clear(e.procs[len(keep):])
+		e.procs = keep
+		e.ndead = 0
+	}
+	e.procs = append(e.procs, p)
+}
+
+// run executes the body on the process's coroutine and then finishes the
+// process. A kill unwinds the body as a procKilled panic, which ends the
+// process normally; any other panic is kept for dispatch to re-raise on
+// the event loop once the exit callbacks have run.
+func (p *Proc) run() {
+	defer func() {
+		if r := recover(); r != nil {
+			if _, ok := r.(procKilled); !ok {
+				p.eng.procPanic = r
+			}
+		}
+		p.exit()
+	}()
+	p.fn(p)
+}
+
+// exit marks the process dead and runs its exit callbacks. The event loop
+// is still waiting on this dispatch, so the callbacks run under the same
+// single-threaded discipline as model code.
+func (p *Proc) exit() {
+	p.dead = true
+	p.fn = nil
+	p.waiting = nil
+	p.waitBuf = waitState{}
+	p.eng.ndead++
+	for _, fn := range p.onExit {
+		fn()
+	}
+	p.onExit = nil
 }
 
 // wakeLbl returns the process's wake label for traced engines ("" when no
@@ -125,37 +144,50 @@ func (p *Proc) sleep0Lbl() string {
 }
 
 // dispatch resumes p and blocks the engine until p parks or terminates.
-// It must only be called from the event loop (an event callback).
+// It must only be called from the event loop (an event callback) or from
+// Close. A process takes a coroutine at its first dispatch; one killed
+// before then never runs its body, and finishes inline.
 func (e *Engine) dispatch(p *Proc) {
 	if p.dead {
 		return
 	}
-	p.resume <- struct{}{}
-	y := <-e.parked
-	if y.done {
-		e.nprocs--
+	co := p.co
+	if co == nil {
+		if p.killed {
+			p.exit()
+			return
+		}
+		co = e.takeCoro()
+		co.p = p
+		p.co = co
 	}
-	if y.panicked != nil {
-		panic(fmt.Sprintf("sim: process %q panicked: %v", y.p.name, y.panicked))
+	co.next()
+	if r := e.procPanic; r != nil {
+		e.procPanic = nil
+		panic(fmt.Sprintf("sim: process %q panicked: %v", p.name, r))
 	}
 }
 
 // park suspends the calling process until the next dispatch. A process
-// condemned by Engine.Kill exits here via runtime.Goexit, which runs its
-// deferred functions (join-counter bumps, cleanup) before the goroutine-
-// level defer reports termination to the event loop.
+// condemned by Engine.Kill (or whose coroutine is being stopped) unwinds
+// from here by panicking with procKilled, which runs its deferred functions
+// (join-counter bumps, cleanup) before the process wrapper reports the
+// exit. It is not runtime.Goexit: iter.Pull hands a Goexit inside the
+// coroutine on to the caller of next, which is the event loop.
 func (p *Proc) park() {
-	p.eng.parked <- procYield{p: p}
-	<-p.resume
+	if !p.co.yield(struct{}{}) {
+		p.co.stopped = true
+		p.killed = true
+	}
 	if p.killed {
-		runtime.Goexit()
+		panic(procKilled{})
 	}
 }
 
-// Kill condemns a process: at its next resume it unwinds via runtime.Goexit
-// (running deferred functions) instead of continuing model code. Kill is
-// asynchronous — it schedules a wake at the current time — and idempotent;
-// killing a dead process is a no-op. It models a node crash taking down the
+// Kill condemns a process: at its next resume it unwinds (running deferred
+// functions) instead of continuing model code. Kill is asynchronous — it
+// schedules a wake at the current time — and idempotent; killing a dead
+// process is a no-op. It models a node crash taking down the
 // processes bound to it: any condition the process was waiting on is simply
 // abandoned (primitives tolerate dead waiters).
 func (e *Engine) Kill(p *Proc) {

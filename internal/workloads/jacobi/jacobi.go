@@ -81,8 +81,10 @@ type rankState struct {
 func tagFor(iter int, d Dir) uint64 { return uint64(iter)*uint64(numDirs) + uint64(d) + 1 }
 
 // Run executes one Jacobi relaxation on a fresh cluster sized
-// params.PX × params.PY and drives the simulation to completion.
+// params.PX × params.PY and drives the simulation to completion. Like
+// collective.Run, it closes the cluster before returning.
 func Run(c *node.Cluster, params Params) (Result, error) {
+	defer c.Close()
 	dec := Decomp{N: params.N, PX: params.PX, PY: params.PY}
 	if err := dec.Validate(); err != nil {
 		return Result{}, err
